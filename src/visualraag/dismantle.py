@@ -7,17 +7,22 @@ a dominating vertex compatible with all later links (the per-step feasibility
 condition checked by ``check_dagger``).  The witness is then reconstructed by
 replaying the removals as conings.
 
-``relative_search`` runs the gate sequence and the backtracking enumeration
-for one graph with required witness edges; ``global_search`` adds the
-graph-of-cylinders gate and divide-and-conquer over uncrossed cuts.
+One backtracking core, ``_dismantle``, with one failure memo, serves both
+``enumerate_dismantlings`` (every sequence) and ``relative_search`` (the
+first sequence whose steps pass the step condition, checked as each step is
+made).  ``relative_search`` runs the gate sequence and that search for one
+graph with required witness edges; ``global_search`` adds the
+graph-of-cylinders gate and divide-and-conquer over uncrossed cuts.  Every
+"yes" is verified by ``verify_fidl`` on the graph it answers for.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from . import jsj
 from .dl import (
@@ -34,12 +39,14 @@ from .graphs import (
     bipartition,
     bit_list,
     bits,
+    find_edge_cycle,
     has_separating_clique,
     induced_cycles,
+    is_satellite,
     iter_bits,
     n_chords,
 )
-from .squares import CfsStatus, cfs_status, diagonal_graph, is_strongly_cfs
+from .squares import CfsStatus, cfs_status, is_strongly_cfs
 
 
 class BudgetExceeded(Exception):
@@ -144,10 +151,11 @@ class Verdict:
     """Outcome of a search engine.
 
     ``decision`` is one of "yes", "no", "refused", "budget_exceeded".
-    Yes carries the verified witness, its commuting graph, the dismantling
-    certificate (when produced by the dismantling engine) and the
-    verification transcript.  No carries a structured reason with a concrete
-    witness.  ``stage`` names the pipeline stage that decided.
+    Yes carries the verified witness, the dismantling certificate (when
+    produced by the dismantling engine) and the verification transcript; its
+    commuting graph ``delta`` is derived from the witness when first read.
+    No carries a structured reason with a concrete witness.  ``stage`` names
+    the pipeline stage that decided.
     """
 
     decision: str
@@ -155,7 +163,6 @@ class Verdict:
     reason: str | None = None
     detail: dict = field(default_factory=dict)
     lam: Lambda | None = None
-    delta: CommutingGraph | None = None
     sequence: DismantlingSequence | None = None
     report: DLReport | None = None
     timings_ms: dict = field(default_factory=dict)
@@ -163,6 +170,11 @@ class Verdict:
     @property
     def is_yes(self) -> bool:
         return self.decision == "yes"
+
+    @cached_property
+    def delta(self) -> CommutingGraph | None:
+        """The commuting graph of the witness, None without one."""
+        return None if self.lam is None else commuting_graph(self.lam.host, self.lam)
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
         out: dict = {"decision": self.decision, "stage": self.stage}
@@ -172,11 +184,11 @@ class Verdict:
             out["detail"] = self.detail
         if self.lam is not None:
             out["lambda"] = self.lam.to_json_dict()
-        if self.delta is not None:
             out["delta"] = self.delta.to_json_dict()
         if self.sequence is not None:
-            out["sequence"] = self.sequence.to_json_dict()["steps"]
-            out["base_square"] = self.sequence.to_json_dict()["base"]
+            seq = self.sequence.to_json_dict()
+            out["sequence"] = seq["steps"]
+            out["base_square"] = seq["base"]
         if self.report is not None:
             out["report"] = self.report.to_json_dict()
         if include_timings:
@@ -242,185 +254,141 @@ def _is_square_mask(g: Graph, mask: int) -> bool:
     return all((g.adj[v] & mask).bit_count() == 2 for v in iter_bits(mask)) and g.is_connected_mask(mask)
 
 
-def _state_admissible(g: Graph, mask: int, require_cfs: bool) -> bool:
-    sub = g.subgraph(mask)
-    if has_separating_clique(sub):
-        return False
-    if require_cfs and not is_strongly_cfs(g, mask):
-        return False
-    return True
+def _state_admissible(g: Graph, mask: int) -> bool:
+    """No separating clique and strongly CFS: sound pruning, because the
+    guaranteed sequence passes through graphs that themselves admit witnesses."""
+    return not has_separating_clique(g.subgraph(mask)) and is_strongly_cfs(g, mask)
 
 
-def enumerate_dismantlings(
+# a removal: (x, cone = link of x at removal time, feasible dominators or None)
+Removal = tuple[int, int, int | None]
+
+
+def _dismantle(
     g: Graph,
-    strongly_cfs_prune: bool = True,
-    stats: DismantleStats | None = None,
-    budget: Budget | None = None,
-) -> Iterator[DismantlingSequence]:
-    """Backtrack over satellite removal orders reaching a square.
+    required: Sequence[RequiredPair] | None,
+    stats: DismantleStats,
+    budget: Budget | None,
+) -> Iterator[list[Removal]]:
+    """Backtrack over satellite removal orders reaching a square; yields the
+    removal lists in search order.
 
     Candidates at each state are satellites of the current induced subgraph
-    whose removal leaves a graph without separating cliques (and, by default,
-    strongly CFS: sound because the guaranteed sequence passes through graphs
-    that themselves admit witnesses).  Vertex subsets with no completion are
-    memoized as dead, so distinct orders through a dead state are pruned.
-    Triangle-freeness and incompleteness hold automatically above the base;
-    the four-vertex terminal state must be a square.
+    whose removal leaves an admissible graph (``_state_admissible``);
+    triangle-freeness and incompleteness hold automatically above the base,
+    and the four-vertex terminal state must be a square.
+
+    With ``required=None`` every dismantling is yielded and each removal
+    carries ``None``.  Given a list, each removal is checked as it is made:
+    its feasible set is the candidate set (vertices of the remaining graph
+    whose links contain the cone) intersected with every earlier cone that
+    contains x and meets the remaining graph, and a required pair whose
+    later endpoint is x pins the choice to its earlier endpoint.  An empty
+    set kills the branch, so every yielded list passes ``check_dagger``.
+
+    Failures are memoized.  Without a step condition the future of a state
+    depends on its vertex mask alone.  With one, it depends on the mask and
+    the set of nonzero ``cone & mask`` over the earlier removals.  Proof: a
+    later step removes x from mask M, leaving rest R, with x in M and R
+    inside M.  An earlier cone C constrains it iff x is in C and C meets R.
+    Both tests read only C & M, since x and R lie in M.  Its effect is
+    ``feas &= C``, where feas lies inside the candidate set, hence inside R,
+    hence inside M; so ``feas & C == feas & (C & M)``.  A cone with
+    ``C & M == 0`` never constrains anything below M.  The required-pair
+    pins depend only on x and R.  So two histories with equal keys have the
+    same completions, and a key that once failed fails again.  The memo
+    prunes only subtrees that yielded nothing, so the search order and the
+    first result are those of the unmemoized search.
     """
-    if stats is None:
-        stats = DismantleStats()
-    dead: set[int] = set()
-    feasible_cache: dict[int, bool] = {}
+    checked = required is not None
+    pins: dict[int, list[int]] = {}
+    for pair in required or ():
+        pins.setdefault(pair.p, []).append(pair.q)
+        pins.setdefault(pair.q, []).append(pair.p)
+    admissible_cache: dict[int, bool] = {}
+    failed: set = set()
 
     def admissible(mask: int) -> bool:
-        got = feasible_cache.get(mask)
+        got = admissible_cache.get(mask)
         if got is None:
-            got = _state_admissible(g, mask, strongly_cfs_prune)
-            feasible_cache[mask] = got
+            got = admissible_cache[mask] = _state_admissible(g, mask)
         return got
 
-    def descend(mask: int, removed: list[tuple[int, int]]) -> Iterator[DismantlingSequence]:
+    def descend(mask: int, removed: list[Removal]) -> Iterator[list[Removal]]:
         if budget is not None:
             budget.check()
-        if mask in dead:
+        key = (mask, frozenset(c & mask for _, c, _ in removed if c & mask)) if checked else mask
+        if key in failed:
             return
         if mask.bit_count() == 4:
             if _is_square_mask(g, mask):
                 stats.sequences_yielded += 1
-                yield _build_sequence(g, mask, removed)
+                yield removed
             else:
-                dead.add(mask)
+                failed.add(key)
             return
         stats.states_expanded += 1
         produced = False
-        order = sorted(iter_bits(mask), key=lambda v: ((g.adj[v] & mask).bit_count(), v))
-        for x in order:
-            lx = g.adj[x] & mask
-            rest = mask & ~(1 << x)
-            if not any(
-                lx & ~(g.adj[w] & mask) == 0 for w in iter_bits(mask) if w != x
-            ):
+        for x in sorted(iter_bits(mask), key=lambda v: ((g.adj[v] & mask).bit_count(), v)):
+            if not is_satellite(g, x, mask):
                 continue
             stats.removals_tried += 1
-            if rest in dead:
-                continue
+            rest = mask & ~(1 << x)
             if not admissible(rest):
-                dead.add(rest)
                 continue
-            for seq in descend(rest, removed + [(x, lx)]):
+            lx = g.adj[x] & mask
+            feas = None
+            if checked:
+                feas = bits(v for v in iter_bits(rest) if lx & ~(g.adj[v] & rest) == 0)
+                for _, cone, _ in removed:
+                    # earlier removals sit in higher strata
+                    if cone >> x & 1 and cone & rest:
+                        feas &= cone
+                partners = {w for w in pins.get(x, ()) if rest >> w & 1}
+                if len(partners) > 1:
+                    # a single removal realizes a single witness edge
+                    continue
+                if partners:
+                    feas &= 1 << partners.pop()
+                if not feas:
+                    continue
+            for done in descend(rest, removed + [(x, lx, feas)]):
                 produced = True
-                yield seq
+                yield done
         if not produced:
-            dead.add(mask)
+            failed.add(key)
             stats.dead_states += 1
 
     yield from descend(g.full_mask, [])
 
 
-def _build_sequence(g: Graph, base: int, removed: list[tuple[int, int]]) -> DismantlingSequence:
-    """Steps in coning order; candidate sets computed on the lower stratum."""
+def _sequence(g: Graph, removed: list[Removal]) -> DismantlingSequence:
+    """Steps in coning order, candidate sets computed on the lower stratum;
+    a checked removal chooses its lowest feasible dominator."""
+    base = g.full_mask
+    for x, _, _ in removed:
+        base &= ~(1 << x)
     steps: list[DismantlingStep] = []
     stratum = base
-    for x, cone in reversed(removed):
-        cand = bits(
-            v for v in iter_bits(stratum) if cone & ~(g.adj[v] & stratum) == 0
-        )
-        steps.append(DismantlingStep(x, cone, cand))
-        stratum |= 1 << x
-    return DismantlingSequence(g, base, tuple(steps))
-
-
-def _dagger_search(
-    g: Graph,
-    required: Sequence[RequiredPair],
-    strongly_cfs_prune: bool,
-    stats: DismantleStats,
-    budget: Budget | None,
-) -> DismantlingSequence | None:
-    """First dismantling sequence satisfying the step condition, or None.
-
-    Same backtracking as ``enumerate_dismantlings`` but with the feasibility
-    of each created step checked immediately: the feasible set of a step is
-    determined entirely by the removals made before it, so an empty set (or a
-    broken required-pair pin) kills the whole branch.  The structural
-    dead-state memo is not sound here (feasibility depends on removal
-    history), so only state admissibility is cached.
-    """
-    feasible_cache: dict[int, bool] = {}
-    pin_of: dict[int, list[int]] = {}
-    for pair in required:
-        pin_of.setdefault(pair.p, []).append(pair.q)
-        pin_of.setdefault(pair.q, []).append(pair.p)
-
-    def admissible(mask: int) -> bool:
-        got = feasible_cache.get(mask)
-        if got is None:
-            got = _state_admissible(g, mask, strongly_cfs_prune)
-            feasible_cache[mask] = got
-        return got
-
-    # removed records: (x, cone_at_removal, feasible_set, pinned_or_None)
-    def descend(mask: int, removed: list[tuple[int, int, int, int | None]]):
-        if budget is not None:
-            budget.check()
-        if mask.bit_count() == 4:
-            return removed if _is_square_mask(g, mask) else None
-        stats.states_expanded += 1
-        order = sorted(iter_bits(mask), key=lambda v: ((g.adj[v] & mask).bit_count(), v))
-        for x in order:
-            lx = g.adj[x] & mask
-            rest = mask & ~(1 << x)
-            if not any(
-                lx & ~(g.adj[w] & mask) == 0 for w in iter_bits(mask) if w != x
-            ):
-                continue
-            stats.removals_tried += 1
-            if not admissible(rest):
-                continue
-            cand = bits(
-                v for v in iter_bits(rest) if lx & ~(g.adj[v] & rest) == 0
-            )
-            feas = cand
-            for (y, cone, _f, _p) in removed:
-                # earlier removals sit in higher strata; their cones constrain
-                # this step when they contain x and meet the remaining graph
-                if cone >> x & 1 and cone & rest:
-                    feas &= cone
-            if feas == 0:
-                continue
-            pinned: int | None = None
-            partners = [w for w in pin_of.get(x, ()) if rest >> w & 1]
-            if partners:
-                # x is the later-added endpoint of these required pairs; a
-                # single removal realizes a single witness edge, so two
-                # distinct live partners make this order infeasible
-                if len(set(partners)) > 1:
-                    continue
-                partner = partners[0]
-                if not feas >> partner & 1:
-                    continue
-                feas = 1 << partner
-                pinned = partner
-            got = descend(rest, removed + [(x, lx, feas, pinned)])
-            if got is not None:
-                return got
-        return None
-
-    removed = descend(g.full_mask, [])
-    if removed is None:
-        return None
-    steps = []
-    base = g.full_mask
-    for x, *_ in removed:
-        base &= ~(1 << x)
-    stratum = base
-    for x, cone, feas, pinned in reversed(removed):
+    for x, cone, feas in reversed(removed):
         cand = bits(v for v in iter_bits(stratum) if cone & ~(g.adj[v] & stratum) == 0)
-        chosen = pinned if pinned is not None else (feas & -feas).bit_length() - 1
+        chosen = None if feas is None else (feas & -feas).bit_length() - 1
         steps.append(DismantlingStep(x, cone, cand, chosen))
         stratum |= 1 << x
-    stats.sequences_yielded += 1
     return DismantlingSequence(g, base, tuple(steps))
+
+
+def enumerate_dismantlings(
+    g: Graph,
+    stats: DismantleStats | None = None,
+    budget: Budget | None = None,
+) -> Iterator[DismantlingSequence]:
+    """Every dismantling sequence of ``g``, in search order, without chosen
+    dominators (see ``_dismantle``)."""
+    if stats is None:
+        stats = DismantleStats()
+    for removed in _dismantle(g, None, stats, budget):
+        yield _sequence(g, removed)
 
 
 # -------------------------------------------------------------- condition (†)
@@ -509,80 +477,91 @@ def reconstruct_lambda(seq: DismantlingSequence) -> Lambda:
 # ---------------------------------------------------------------- the engines
 
 
-def _refusal(g: Graph, fails: list[str], timings: dict) -> Verdict:
-    return Verdict("refused", "precondition", reason="PreconditionFailed",
-                   detail={"failures": fails}, timings_ms=timings)
-
-
-def _toc(timings: dict, key: str, t0: float) -> float:
+def record_stage(timings: dict, key: str, t0: float) -> float:
+    """Record the milliseconds since ``t0`` as stage ``key``; returns the
+    current time, the start of the next stage."""
     now = time.perf_counter()
     timings[key] = round((now - t0) * 1000, 3)
     return now
 
 
+def _refusal(fails: list[str], timings: dict) -> Verdict:
+    return Verdict("refused", "precondition", reason="PreconditionFailed",
+                   detail={"failures": fails}, timings_ms=timings)
+
+
+def _gate_verdict(g: Graph, timings: dict, t0: float) -> Verdict | None:
+    """The strongly-CFS and forbidden-cycle gates, timed from ``t0``: the
+    "no" of the first that fails, or None when both pass."""
+    cfs = cfs_status(g)
+    t0 = record_stage(timings, "cfs", t0)
+    if cfs.status is not CfsStatus.STRONGLY_CFS:
+        return Verdict("no", "cfs", reason="NotStronglyCFS",
+                       detail={"status": cfs.status.value, "diagnostic": cfs.diagnostic},
+                       timings_ms=timings)
+    obstruction = forbidden_cycle_check(g)
+    record_stage(timings, "cycles", t0)
+    if obstruction is not None:
+        return Verdict("no", "cycles", reason="ForbiddenCycle", detail=obstruction,
+                       timings_ms=timings)
+    return None
+
+
 def relative_search(
     g: Graph,
     required: Sequence[RequiredPair | tuple[int, int]] = (),
-    strongly_cfs_prune: bool = True,
     budget: Budget | None = None,
     stats: DismantleStats | None = None,
 ) -> Verdict:
     """Find a witness containing every required pair, or decide none exists.
 
     Gates in order: strongly-CFS, forbidden cycles, required pairs acyclic
-    and class-consistent; then enumerate dismantling sequences and return the
-    first one whose chosen dominators satisfy the step condition, with the
-    rebuilt witness re-verified before returning.
+    and class-consistent; then the first dismantling sequence whose steps
+    pass the step condition, re-checked by ``check_dagger``, with the
+    rebuilt witness verified on ``g`` before returning.  A failed search
+    runs ``enumerate_dismantlings`` once more to tell ``NoDismantling`` from
+    ``NoDaggerSequence``.
     """
     timings: dict = {}
     t0 = time.perf_counter()
     req = _normalize_required(g, required)
     fails = precondition_failures(g)
-    t0 = _toc(timings, "preconditions", t0)
+    t0 = record_stage(timings, "preconditions", t0)
     if fails:
-        return _refusal(g, fails, timings)
+        return _refusal(fails, timings)
 
     try:
-        cfs = cfs_status(g)
-        t0 = _toc(timings, "cfs", t0)
-        if cfs.status is not CfsStatus.STRONGLY_CFS:
-            return Verdict("no", "cfs", reason="NotStronglyCFS",
-                           detail={"status": cfs.status.value, "diagnostic": cfs.diagnostic},
-                           timings_ms=timings)
-        obstruction = forbidden_cycle_check(g)
-        t0 = _toc(timings, "cycles", t0)
-        if obstruction is not None:
-            return Verdict("no", "cycles", reason="ForbiddenCycle",
-                           detail=obstruction, timings_ms=timings)
+        gated = _gate_verdict(g, timings, t0)
+        if gated is not None:
+            return gated
+        t0 = time.perf_counter()
         bad = _required_pair_obstruction(g, req)
-        t0 = _toc(timings, "required_pairs", t0)
+        t0 = record_stage(timings, "required_pairs", t0)
         if bad is not None:
-            return Verdict(bad.decision, bad.stage, reason=bad.reason,
-                           detail=bad.detail, timings_ms=timings)
+            reason, detail = bad
+            return Verdict("no", "required_pairs", reason=reason, detail=detail,
+                           timings_ms=timings)
         if stats is None:
             stats = DismantleStats()
-        outcome = _dagger_search(g, req, strongly_cfs_prune, stats, budget)
-        if outcome is not None:
-            recheck = check_dagger(outcome, req)
-            if isinstance(recheck, DaggerFailure):
+        removed = next(_dismantle(g, req, stats, budget), None)
+        if removed is not None:
+            seq = _sequence(g, removed)
+            if isinstance(check_dagger(seq, req), DaggerFailure):
                 raise AssertionError(
-                    "internal consistency: fused search produced an infeasible sequence"
+                    "internal consistency: step-checked search produced an infeasible sequence"
                 )
-            lam = reconstruct_lambda(outcome)
+            lam = reconstruct_lambda(seq)
             report = verify_fidl(g, lam)
             if not report.passed:
                 raise AssertionError(
                     "internal consistency: reconstructed witness failed verification: "
                     + report.to_json()
                 )
-            _toc(timings, "dismantle", t0)
-            return Verdict("yes", "dismantle", lam=lam, delta=commuting_graph(g, lam),
-                           sequence=outcome, report=report, timings_ms=timings)
-        _toc(timings, "dismantle", t0)
-        any_sequence = next(
-            enumerate_dismantlings(g, strongly_cfs_prune, None, budget), None
-        )
-        if any_sequence is None:
+            record_stage(timings, "dismantle", t0)
+            return Verdict("yes", "dismantle", lam=lam, sequence=seq, report=report,
+                           timings_ms=timings)
+        record_stage(timings, "dismantle", t0)
+        if next(enumerate_dismantlings(g, budget=budget), None) is None:
             return Verdict("no", "dismantle", reason="NoDismantling", timings_ms=timings)
         return Verdict("no", "dagger", reason="NoDaggerSequence", timings_ms=timings)
     except BudgetExceeded:
@@ -607,61 +586,25 @@ def _normalize_required(
     return out
 
 
-def _required_pair_obstruction(g: Graph, req: list[RequiredPair]) -> Verdict | None:
+def _required_pair_obstruction(g: Graph, req: list[RequiredPair]) -> tuple[str, dict] | None:
+    """(reason, detail) when the required pairs cannot all be witness edges."""
     if not req:
         return None
     col = bipartition(g)  # bipartite: the cycle gate already passed
     for pair in req:
         if not col.same_class(pair.p, pair.q):
-            return Verdict(
-                "no", "required_pairs", reason="RequiredPairMixedClasses",
-                detail={"pair": [g.names[pair.p], g.names[pair.q]]},
-            )
+            return "RequiredPairMixedClasses", {"pair": [g.names[pair.p], g.names[pair.q]]}
     adj: dict[int, set[int]] = {}
     for pair in req:
         adj.setdefault(pair.p, set()).add(pair.q)
         adj.setdefault(pair.q, set()).add(pair.p)
-    cycle = _pair_graph_cycle(adj)
+    cycle = find_edge_cycle(adj)
     if cycle is not None:
-        return Verdict(
-            "no", "required_pairs", reason="RequiredPairCycle",
-            detail={"cycle": [g.names[v] for v in cycle]},
-        )
+        return "RequiredPairCycle", {"cycle": [g.names[v] for v in cycle]}
     return None
 
 
-def _pair_graph_cycle(adj: dict[int, set[int]]) -> list[int] | None:
-    visited: set[int] = set()
-
-    def dfs(v: int, par: int | None, path: list[int]) -> list[int] | None:
-        visited.add(v)
-        path.append(v)
-        for w in adj[v]:
-            if w == par:
-                continue
-            if w in path:
-                return path[path.index(w):]
-            if w not in visited:
-                got = dfs(w, v, path)
-                if got is not None:
-                    return got
-        path.pop()
-        return None
-
-    for root in adj:
-        if root not in visited:
-            got = dfs(root, None, [])
-            if got is not None:
-                return got
-    return None
-
-
-def global_search(
-    g: Graph,
-    strongly_cfs_prune: bool = True,
-    budget: Budget | None = None,
-    use_splitting: bool = True,
-) -> Verdict:
+def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
     """Decide witness existence for a whole graph.
 
     Pipeline: preconditions; square base case; strongly-CFS and forbidden
@@ -670,73 +613,66 @@ def global_search(
     and assembling the partial witnesses; common neighbors of a cut pair are
     cylinder vertices, covered at assembly.  Splitting is an optimization: a
     cut whose pieces fail the preconditions falls back to whole-graph
-    relative search.
+    relative search.  A "yes" is verified on ``g`` exactly once, here for
+    an assembled witness and in ``relative_search`` otherwise.  The timings
+    are this function's own stages; ``search`` includes the nested searches.
     """
     timings: dict = {}
     t0 = time.perf_counter()
     fails = precondition_failures(g)
-    t0 = _toc(timings, "preconditions", t0)
+    t0 = record_stage(timings, "preconditions", t0)
     if fails:
-        return _refusal(g, fails, timings)
+        return _refusal(fails, timings)
     if g.n == 4:
         # the only valid four-vertex input is the square: solved by its diagonals
-        verdict = relative_search(g, (), strongly_cfs_prune, budget)
-        verdict.timings_ms.update(timings)
-        return verdict
+        verdict = relative_search(g, (), budget)
+        record_stage(timings, "search", t0)
+        return replace(verdict, timings_ms=timings)
 
-    cfs = cfs_status(g)
-    t0 = _toc(timings, "cfs", t0)
-    if cfs.status is not CfsStatus.STRONGLY_CFS:
-        return Verdict("no", "cfs", reason="NotStronglyCFS",
-                       detail={"status": cfs.status.value, "diagnostic": cfs.diagnostic},
-                       timings_ms=timings)
-    obstruction = forbidden_cycle_check(g)
-    t0 = _toc(timings, "cycles", t0)
-    if obstruction is not None:
-        return Verdict("no", "cycles", reason="ForbiddenCycle", detail=obstruction,
-                       timings_ms=timings)
+    gated = _gate_verdict(g, timings, t0)
+    if gated is not None:
+        return gated
+    t0 = time.perf_counter()
     goc = jsj.graph_of_cylinders(g)
-    t0 = _toc(timings, "jsj", t0)
+    t0 = record_stage(timings, "jsj", t0)
     if goc.hanging:
         k1, k2 = goc.crossing_witness  # type: ignore[misc]
         return Verdict("no", "jsj", reason="CrossingCuts",
                        detail={"cuts": [k1.names(g), k2.names(g)]},
                        timings_ms=timings)
     try:
-        verdict = _solve_with_splitting(g, goc.cuts, strongly_cfs_prune, budget,
-                                        use_splitting)
+        verdict = _solve_with_splitting(g, goc.cuts, budget)
     except BudgetExceeded:
         return Verdict("budget_exceeded", "dismantle", reason="BudgetExceeded",
                        timings_ms=timings)
-    _toc(timings, "search", t0)
-    verdict.timings_ms.update(timings)
-    if verdict.is_yes:
-        report = verdict.report or verify_fidl(g, verdict.lam)
+    report = verdict.report
+    if verdict.is_yes and report is None:
+        report = verify_fidl(g, verdict.lam)
         if not report.passed:
             raise AssertionError(
                 "internal consistency: assembled witness failed verification: "
                 + report.to_json()
             )
-    return verdict
+    record_stage(timings, "search", t0)
+    return replace(verdict, report=report, timings_ms=timings)
 
 
 def _solve_with_splitting(
     g: Graph,
     cuts: tuple[jsj.Cut, ...] | None,
-    strongly_cfs_prune: bool,
     budget: Budget | None,
-    use_splitting: bool,
     required: tuple[tuple[int, int], ...] = (),
 ) -> Verdict:
     """Recursive split/solve/assemble; falls back to relative search whenever
     no uncrossed cut gives a usable decomposition.  Only the parts of
     components with two or more vertices are solved; common neighbors of a
-    cut pair are covered by ``jsj.assemble_lambdas``."""
+    cut pair are covered by ``jsj.assemble_lambdas``.  An assembled "yes"
+    carries no report: the caller verifies the final witness once."""
     if cuts is None:
         cuts = tuple(jsj.find_cuts(g))
-    split = _pick_split(g, cuts, required) if use_splitting else None
+    split = _pick_split(g, cuts, required)
     if split is None:
-        return relative_search(g, required, strongly_cfs_prune, budget)
+        return relative_search(g, required, budget)
     cut, parts = split
     solved: list[tuple[Graph, Lambda]] = []
     for part in parts:
@@ -748,8 +684,7 @@ def _solve_with_splitting(
         )
         a, b = cut.pair
         part_required += ((part.vertex_id(g.names[a]), part.vertex_id(g.names[b])),)
-        sub = _solve_with_splitting(part, None, strongly_cfs_prune, budget,
-                                    use_splitting, part_required)
+        sub = _solve_with_splitting(part, None, budget, part_required)
         if sub.decision == "budget_exceeded":
             return sub
         if not sub.is_yes:
@@ -758,19 +693,11 @@ def _solve_with_splitting(
                            detail={"part": pid, "sub_reason": sub.reason or sub.decision,
                                    "sub_detail": sub.detail})
         solved.append((part, sub.lam))
-    lam = jsj.assemble_lambdas(g, cut, solved)
-    report = verify_fidl(g, lam)
-    if not report.passed:
-        raise AssertionError(
-            "internal consistency: assembly produced a non-verifying witness: "
-            + report.to_json()
-        )
     detail = {
         "assembled_at": [g.names[v] for v in cut.vertices],
         "parts": [",".join(sorted(part.names)) for part, _ in solved],
     }
-    return Verdict("yes", "assemble", detail=detail, lam=lam,
-                   delta=commuting_graph(g, lam), report=report)
+    return Verdict("yes", "assemble", detail=detail, lam=jsj.assemble_lambdas(g, cut, solved))
 
 
 def _pick_split(

@@ -24,6 +24,7 @@ from .graphs import (
     bipartition,
     bit_list,
     bits,
+    find_edge_cycle,
     has_separating_clique,
     induced_cycles,
     is_incomplete,
@@ -92,9 +93,6 @@ class Lambda:
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges)
 
-    def color_of_edge(self, e: tuple[int, int]) -> str:
-        return "red" if e in self.red_edges else "blue"
-
     def swapped(self) -> "Lambda":
         return Lambda(self.host, self.blue_edges, self.red_edges)
 
@@ -115,27 +113,6 @@ class Lambda:
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_json_dict(), **kwargs)
-
-
-@dataclass(frozen=True)
-class Theta:
-    """Host vertex set carrying both host edges and witness edges, tagged."""
-
-    host: Graph
-    lam: Lambda
-
-    def gamma_edges(self) -> set[tuple[int, int]]:
-        return set(self.host.edges())
-
-    def lambda_edges(self) -> set[tuple[int, int]]:
-        return self.lam.edge_set()
-
-    def as_graph(self) -> Graph:
-        adj = list(self.host.adj)
-        for a, b in self.lam.edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return Graph(self.host.names, adj)
 
 
 # ----------------------------------------------------------------- hulls
@@ -338,34 +315,8 @@ def _tree_failure(g: Graph, edges: tuple[tuple[int, int], ...], label: str) -> d
     if seen != support:
         return {"component": label, "reason": "disconnected"}
     if len(edges) != len(support) - 1:
-        return {"component": label, "cycle": _names(g, _find_edge_cycle(adj))}
+        return {"component": label, "cycle": _names(g, find_edge_cycle(adj))}
     return None
-
-
-def _find_edge_cycle(adj: dict[int, set[int]]) -> list[int]:
-    visited: set[int] = set()
-
-    def dfs(v: int, par: int | None, path: list[int]) -> list[int] | None:
-        visited.add(v)
-        path.append(v)
-        for w in adj[v]:
-            if w == par:
-                continue
-            if w in path:
-                return path[path.index(w):]
-            if w not in visited:
-                got = dfs(w, v, path)
-                if got is not None:
-                    return got
-        path.pop()
-        return None
-
-    for root in adj:
-        if root not in visited:
-            got = dfs(root, None, [])
-            if got is not None:
-                return got
-    return []
 
 
 def check_r1_r2_f1(g: Graph, lam: Lambda) -> list[ConditionResult]:

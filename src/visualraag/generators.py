@@ -9,13 +9,11 @@ the property-test workhorse for the search pipeline.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .dl import Lambda, is_lambda_convex, lambda_hull, verify_fidl
-from .graphs import Graph, bipartition, bit_list, bits, iter_bits, link
+from .dl import Lambda, is_lambda_convex
+from .graphs import Graph, bits, iter_bits, link
 
 
 @dataclass(frozen=True)

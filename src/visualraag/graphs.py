@@ -52,9 +52,6 @@ class TwoColoring:
     red: int
     blue: int
 
-    def color_of(self, v: int) -> str:
-        return "red" if self.red >> v & 1 else "blue"
-
     def same_class(self, u: int, v: int) -> bool:
         return bool((self.red >> u & 1) == (self.red >> v & 1))
 
@@ -158,9 +155,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
-
-    def name_pair(self, u: int, w: int) -> tuple[str, str]:
-        return (self.names[u], self.names[w])
 
     def subgraph(self, mask: int) -> "Graph":
         """Induced subgraph on the vertices of ``mask``, names preserved."""
@@ -354,6 +348,34 @@ def is_satellite(g: Graph, v: int, active: int | None = None, strict: bool = Fal
             continue
         return True
     return False
+
+
+def find_edge_cycle(adj: dict[int, set[int]]) -> list[int] | None:
+    """A cycle of the graph given by an adjacency dict, as its vertices in
+    order, or None when the graph is a forest."""
+    visited: set[int] = set()
+
+    def dfs(v: int, par: int | None, path: list[int]) -> list[int] | None:
+        visited.add(v)
+        path.append(v)
+        for w in adj[v]:
+            if w == par:
+                continue
+            if w in path:
+                return path[path.index(w):]
+            if w not in visited:
+                got = dfs(w, v, path)
+                if got is not None:
+                    return got
+        path.pop()
+        return None
+
+    for root in adj:
+        if root not in visited:
+            got = dfs(root, None, [])
+            if got is not None:
+                return got
+    return None
 
 
 def induced_cycles(g: Graph, max_len: int | None = None, active: int | None = None) -> Iterator[list[int]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dl import Lambda
-from .graphs import Graph, bipartition, bit_list, bits, iter_bits
+from .graphs import Graph, bit_list, bits, iter_bits
 
 log = logging.getLogger(__name__)
 

@@ -22,20 +22,17 @@ from .dl import (
     Lambda,
     check_r3,
     check_r4,
-    commuting_graph,
     induced_squares,
     precondition_failures,
     verify_fidl,
 )
-from .dismantle import Budget, BudgetExceeded, Verdict, _toc
+from .dismantle import Budget, BudgetExceeded, Verdict, record_stage
 from .graphs import (
     Graph,
     NotBipartiteError,
     bipartition,
     bit_list,
-    bits,
     induced_cycles,
-    iter_bits,
 )
 
 
@@ -207,7 +204,7 @@ def naive_search(g: Graph, limits: OracleLimits = OracleLimits()) -> Verdict:
     timings: dict = {}
     t0 = time.perf_counter()
     fails = precondition_failures(g)
-    t0 = _toc(timings, "preconditions", t0)
+    t0 = record_stage(timings, "preconditions", t0)
     if fails:
         return Verdict("refused", "precondition", reason="PreconditionFailed",
                        detail={"failures": fails}, timings_ms=timings)
@@ -231,14 +228,13 @@ def naive_search(g: Graph, limits: OracleLimits = OracleLimits()) -> Verdict:
                 lam = Lambda.make(g, red, blue)
                 report = verify_fidl(g, lam)
                 assert report.passed
-                _toc(timings, "oracle", t0)
-                return Verdict("yes", "oracle", lam=lam, delta=commuting_graph(g, lam),
-                               report=report, timings_ms=timings,
+                record_stage(timings, "oracle", t0)
+                return Verdict("yes", "oracle", lam=lam, report=report, timings_ms=timings,
                                detail={"tested": tested, "tree_pairs": total})
     except BudgetExceeded:
         return Verdict("budget_exceeded", "oracle", reason="BudgetExceeded",
                        detail={"tested": tested, "tree_pairs": total}, timings_ms=timings)
-    _toc(timings, "oracle", t0)
+    record_stage(timings, "oracle", t0)
     return Verdict("no", "oracle", reason="NoFidlLambda",
                    detail={"tested": tested, "tree_pairs": total}, timings_ms=timings)
 

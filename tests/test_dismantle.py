@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -302,3 +303,52 @@ def test_coning_outputs_solve():
         assert verify_fidl(seq.graph, seq.lam).passed
         verdict = global_search(seq.graph)
         assert verdict.is_yes
+
+
+# ------------------------------------------- step-checked search vs. plain
+
+
+def test_step_checked_search_matches_enumeration_plus_dagger():
+    # the step-checked search, failure memo included, decides exactly what
+    # plain enumeration followed by check_dagger decides
+    from pathlib import Path
+
+    from visualraag.dismantle import RequiredPair
+    from visualraag.graphs import from_graph6
+
+    sweep = (Path(__file__).parent / "data" / "connected_tf_nosep_le8.g6").read_text().split()
+    seen = {"yes": 0, "NoDaggerSequence": 0, "NoDismantling": 0}
+    for line in sweep:
+        g = from_graph6(line)
+        pairs = [(p, q) for p in range(g.n) for q in range(p + 1, g.n) if not g.has_edge(p, q)]
+        for req in [[]] + [[RequiredPair(p, q)] for p, q in pairs]:
+            verdict = relative_search(g, req)
+            if verdict.stage not in ("dismantle", "dagger"):
+                continue
+            seqs = list(enumerate_dismantlings(g))
+            passing = any(not isinstance(check_dagger(s, req), DaggerFailure) for s in seqs)
+            if verdict.is_yes:
+                assert passing, (line, req)
+                assert not isinstance(check_dagger(verdict.sequence, req), DaggerFailure)
+                seen["yes"] += 1
+            elif verdict.reason == "NoDaggerSequence":
+                assert seqs and not passing, (line, req)
+                seen["NoDaggerSequence"] += 1
+            else:
+                assert verdict.reason == "NoDismantling" and not seqs, (line, req)
+                seen["NoDismantling"] += 1
+    assert seen["yes"] and seen["NoDaggerSequence"]
+
+
+# ------------------------------------------------------------------ timings
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_global_search_timings_do_not_overlap(n):
+    g, _ = bicycle_wheel(n)
+    t0 = time.perf_counter()
+    verdict = global_search(g)
+    wall_ms = (time.perf_counter() - t0) * 1000
+    assert verdict.is_yes
+    assert set(verdict.timings_ms) <= {"preconditions", "cfs", "cycles", "jsj", "search"}
+    assert sum(verdict.timings_ms.values()) <= wall_ms

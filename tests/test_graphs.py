@@ -348,3 +348,15 @@ def test_graph6_round_trip_and_networkx_agreement(n, p):
 def test_graph6_header_accepted():
     g = from_graph6(">>graph6<<DQc")
     assert g.n == 5
+
+
+def test_find_edge_cycle():
+    from visualraag.graphs import find_edge_cycle
+
+    tree = {0: {1, 2}, 1: {0}, 2: {0, 3}, 3: {2}}
+    assert find_edge_cycle(tree) is None
+    assert find_edge_cycle({}) is None
+    square = {0: {1, 3}, 1: {0, 2}, 2: {1, 3}, 3: {2, 0}, 4: {5}, 5: {4}}
+    cycle = find_edge_cycle(square)
+    assert sorted(cycle) == [0, 1, 2, 3]
+    assert all(cycle[i - 1] in square[cycle[i]] for i in range(len(cycle)))
