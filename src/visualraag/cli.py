@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import generators
-from .dismantle import Budget, Verdict, forbidden_cycle_check, global_search
+from .dismantle import Budget, Verdict, forbidden_cycle_check, global_search, relative_search
 from .dl import Lambda, verify_fidl
 from .graphs import (
     Graph,
@@ -32,6 +32,7 @@ from .graphs import (
     has_separating_clique,
     is_incomplete,
     is_triangle_free,
+    iter_bits,
     to_graph6,
     to_json_dict,
 )
@@ -93,19 +94,8 @@ def _emit(args, payload: dict, text_lines: list[str]):
             print(line)
 
 
-def _strip_timings(payload):
-    if isinstance(payload, dict):
-        return {k: _strip_timings(v) for k, v in payload.items() if k != "timings_ms"}
-    if isinstance(payload, list):
-        return [_strip_timings(v) for v in payload]
-    return payload
-
-
 def _verdict_payload(args, verdict: Verdict) -> dict:
-    payload = verdict.to_json_dict(include_timings=not args.no_timing)
-    if args.no_timing:
-        payload = _strip_timings(payload)
-    return payload
+    return verdict.to_json_dict(include_timings=not args.no_timing)
 
 
 # ------------------------------------------------------------------ commands
@@ -121,8 +111,8 @@ def cmd_check(args) -> int:
         col = bipartition(g)
         report["bipartite"] = True
         report["classes"] = [
-            [g.names[v] for v in _mask_list(col.red)],
-            [g.names[v] for v in _mask_list(col.blue)],
+            [g.names[v] for v in iter_bits(col.red)],
+            [g.names[v] for v in iter_bits(col.blue)],
         ]
     except NotBipartiteError as err:
         report["bipartite"] = False
@@ -134,12 +124,6 @@ def cmd_check(args) -> int:
     lines = [f"{k}: {v}" for k, v in report.items()]
     _emit(args, report, lines)
     return EXIT_OK
-
-
-def _mask_list(mask: int):
-    from .graphs import iter_bits
-
-    return list(iter_bits(mask))
 
 
 def cmd_search(args) -> int:
@@ -156,8 +140,6 @@ def cmd_search(args) -> int:
     results: dict[str, Verdict] = {}
     if engine in ("dismantle", "both"):
         if required:
-            from .dismantle import relative_search
-
             results["dismantle"] = relative_search(
                 g, required, budget=Budget.from_seconds(budget)
             )
@@ -370,8 +352,16 @@ def cmd_jsj(args) -> int:
 # ---------------------------------------------------------------- arg parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, not argparse's 2, the refusal code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="visualraag",
         description="Search for finite-index visual RAAG subgroups of right-angled "
         "Coxeter groups given by triangle-free presentation graphs.",

@@ -10,10 +10,11 @@ replaying the removals as conings.
 One backtracking core, ``_dismantle``, with one failure memo, serves both
 ``enumerate_dismantlings`` (every sequence) and ``relative_search`` (the
 first sequence whose steps pass the step condition, checked as each step is
-made).  ``relative_search`` runs the gate sequence and that search for one
-graph with required witness edges; ``global_search`` adds the
-graph-of-cylinders gate and divide-and-conquer over uncrossed cuts.  Every
-"yes" is verified by ``verify_fidl`` on the graph it answers for.
+made); it derives each state's admissibility incrementally from its parent's.
+``relative_search`` runs the gate sequence and that search for one graph
+with required witness edges; ``global_search`` adds the graph-of-cylinders
+gate and divide-and-conquer over uncrossed cuts.  Every "yes" is verified by
+``verify_fidl`` on the graph it answers for.
 """
 
 from __future__ import annotations
@@ -39,14 +40,14 @@ from .graphs import (
     bipartition,
     bit_list,
     bits,
+    dominator,
     find_edge_cycle,
     has_separating_clique,
     induced_cycles,
-    is_satellite,
     iter_bits,
     n_chords,
 )
-from .squares import CfsStatus, cfs_status, is_strongly_cfs
+from .squares import CfsStatus, Square, cfs_status, induced_squares, is_strongly_cfs
 
 
 class BudgetExceeded(Exception):
@@ -138,12 +139,6 @@ class RequiredPair:
     @property
     def key(self) -> tuple[int, int]:
         return (self.p, self.q) if self.p < self.q else (self.q, self.p)
-
-
-@dataclass(frozen=True)
-class Refusal:
-    kind: str
-    detail: dict
 
 
 @dataclass(frozen=True)
@@ -254,10 +249,12 @@ def _is_square_mask(g: Graph, mask: int) -> bool:
     return all((g.adj[v] & mask).bit_count() == 2 for v in iter_bits(mask)) and g.is_connected_mask(mask)
 
 
-def _state_admissible(g: Graph, mask: int) -> bool:
+def _state_admissible(g: Graph, rest: int, through: int | None, squares: list[Square]) -> bool:
     """No separating clique and strongly CFS: sound pruning, because the
-    guaranteed sequence passes through graphs that themselves admit witnesses."""
-    return not has_separating_clique(g.subgraph(mask)) and is_strongly_cfs(g, mask)
+    guaranteed sequence passes through graphs that themselves admit witnesses.
+    ``rest`` is a state less a satellite, ``squares`` the state's squares and
+    ``through`` None or a vertex of every separating clique (``_dismantle``)."""
+    return not has_separating_clique(g, rest, through) and is_strongly_cfs(g, rest, squares)
 
 
 # a removal: (x, cone = link of x at removal time, feasible dominators or None)
@@ -269,6 +266,7 @@ def _dismantle(
     required: Sequence[RequiredPair] | None,
     stats: DismantleStats,
     budget: Budget | None,
+    clean_root: bool,
 ) -> Iterator[list[Removal]]:
     """Backtrack over satellite removal orders reaching a square; yields the
     removal lists in search order.
@@ -277,6 +275,19 @@ def _dismantle(
     whose removal leaves an admissible graph (``_state_admissible``);
     triangle-freeness and incompleteness hold automatically above the base,
     and the four-vertex terminal state must be a square.
+
+    Admissibility is carried from a state to its children.  Each state
+    holds its induced squares (a child's are the parent's less those through
+    the removed vertex), from which the strongly-CFS test reads the diagonal
+    graph.  Lemma: if the state M has no separating clique and w dominates
+    the satellite x in M, every separating clique S of M - x contains w.
+    Proof: if w is not in S, the neighbours of x outside S are neighbours of
+    w, so in w's component of M - x - S; so M - S has at least as many
+    components as M - x - S, and S would separate M.  So only the cliques
+    through w are tested: M - x stays connected, and on a triangle-free
+    graph the check is {w} and {w, u} for u in lk(w).  Every state below
+    the root was admitted; the root has no separating clique when
+    ``clean_root``, and otherwise its children are tested on every clique.
 
     With ``required=None`` every dismantling is yielded and each removal
     carries ``None``.  Given a list, each removal is checked as it is made:
@@ -308,13 +319,15 @@ def _dismantle(
     admissible_cache: dict[int, bool] = {}
     failed: set = set()
 
-    def admissible(mask: int) -> bool:
-        got = admissible_cache.get(mask)
+    def admissible(rest: int, through: int | None, squares: list[Square]) -> bool:
+        got = admissible_cache.get(rest)
         if got is None:
-            got = admissible_cache[mask] = _state_admissible(g, mask)
+            got = admissible_cache[rest] = _state_admissible(g, rest, through, squares)
         return got
 
-    def descend(mask: int, removed: list[Removal]) -> Iterator[list[Removal]]:
+    def descend(
+        mask: int, removed: list[Removal], squares: list[Square], clean: bool
+    ) -> Iterator[list[Removal]]:
         if budget is not None:
             budget.check()
         key = (mask, frozenset(c & mask for _, c, _ in removed if c & mask)) if checked else mask
@@ -330,11 +343,12 @@ def _dismantle(
         stats.states_expanded += 1
         produced = False
         for x in sorted(iter_bits(mask), key=lambda v: ((g.adj[v] & mask).bit_count(), v)):
-            if not is_satellite(g, x, mask):
+            w = dominator(g, x, mask)
+            if w is None:
                 continue
             stats.removals_tried += 1
             rest = mask & ~(1 << x)
-            if not admissible(rest):
+            if not admissible(rest, w if clean else None, squares):
                 continue
             lx = g.adj[x] & mask
             feas = None
@@ -352,14 +366,15 @@ def _dismantle(
                     feas &= 1 << partners.pop()
                 if not feas:
                     continue
-            for done in descend(rest, removed + [(x, lx, feas)]):
+            below = [sq for sq in squares if x not in sq[0] and x not in sq[1]]
+            for done in descend(rest, removed + [(x, lx, feas)], below, True):
                 produced = True
                 yield done
         if not produced:
             failed.add(key)
             stats.dead_states += 1
 
-    yield from descend(g.full_mask, [])
+    yield from descend(g.full_mask, [], induced_squares(g), clean_root)
 
 
 def _sequence(g: Graph, removed: list[Removal]) -> DismantlingSequence:
@@ -387,7 +402,7 @@ def enumerate_dismantlings(
     dominators (see ``_dismantle``)."""
     if stats is None:
         stats = DismantleStats()
-    for removed in _dismantle(g, None, stats, budget):
+    for removed in _dismantle(g, None, stats, budget, not has_separating_clique(g)):
         yield _sequence(g, removed)
 
 
@@ -543,7 +558,8 @@ def relative_search(
                            timings_ms=timings)
         if stats is None:
             stats = DismantleStats()
-        removed = next(_dismantle(g, req, stats, budget), None)
+        # the preconditions ruled out a separating clique of g
+        removed = next(_dismantle(g, req, stats, budget, True), None)
         if removed is not None:
             seq = _sequence(g, removed)
             if isinstance(check_dagger(seq, req), DaggerFailure):

@@ -13,7 +13,6 @@ are machine-checkable.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -22,7 +21,6 @@ from .graphs import (
     Graph,
     NotBipartiteError,
     bipartition,
-    bit_list,
     bits,
     find_edge_cycle,
     has_separating_clique,
@@ -31,7 +29,7 @@ from .graphs import (
     is_triangle_free,
     iter_bits,
 )
-from .squares import DiagonalGraph, diagonal_graph
+from .squares import DiagonalGraph, Square, diagonal_graph, induced_squares
 
 
 def _norm_edge(e: Iterable[int]) -> tuple[int, int]:
@@ -268,15 +266,6 @@ class DLReport:
     def passed(self) -> bool:
         return not self.precondition_failures and all(r.passed for r in self.results)
 
-    def result(self, name: str) -> ConditionResult | None:
-        for r in self.results:
-            if r.name == name:
-                return r
-        return None
-
-    def failures(self) -> list[ConditionResult]:
-        return [r for r in self.results if not r.passed]
-
     def to_json_dict(self) -> dict:
         return {
             "pass": self.passed,
@@ -371,26 +360,10 @@ def check_r1_r2_f1(g: Graph, lam: Lambda) -> list[ConditionResult]:
     return results
 
 
-def induced_squares(g: Graph) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Induced squares as canonical diagonal-pair tuples (first pair holds the
-    smallest vertex of the square)."""
-    out = []
-    for a, b in itertools.combinations(range(g.n), 2):
-        if g.has_edge(a, b):
-            continue
-        common = g.adj[a] & g.adj[b]
-        for c, d in itertools.combinations(bit_list(common), 2):
-            if g.has_edge(c, d):
-                continue
-            if min(a, b) < min(c, d):
-                out.append(((a, b), (c, d)))
-    return out
-
-
 def check_r3(
     g: Graph,
     lam: Lambda | None,
-    squares: list[tuple[tuple[int, int], tuple[int, int]]] | None = None,
+    squares: list[Square] | None = None,
     hulls: "HullOracle | CombinedHulls | None" = None,
 ) -> ConditionResult:
     """For every induced square, the join of the two diagonal hulls must lie
@@ -519,19 +492,15 @@ class CommutingGraph:
 
 
 def commuting_graph(g: Graph, lam: Lambda) -> CommutingGraph:
+    """Two witness edges commute exactly when they are the two diagonals of
+    an induced square, that is, adjacent diagonals in the diagonal graph."""
     edges = lam.edges
-    n = len(edges)
-    adj = [0] * n
-    for i, j in itertools.combinations(range(n), 2):
-        a, b = edges[i]
-        c, d = edges[j]
-        if len({a, b, c, d}) < 4:
-            continue
-        cross = g.adj[a] & g.adj[b]
-        if cross >> c & 1 and cross >> d & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    names = [f"{g.names[a]}{g.names[b]}" for a, b in edges]
     dg = diagonal_graph(g)
     embedding = tuple(dg.index_of(a, b) for a, b in edges)
+    at = {d: i for i, d in enumerate(embedding) if d is not None}
+    adj = [0] * len(edges)
+    for i, d in enumerate(embedding):
+        if d is not None:
+            adj[i] = bits(at[e] for e in iter_bits(dg.graph.adj[d]) if e in at)
+    names = [f"{g.names[a]}{g.names[b]}" for a, b in edges]
     return CommutingGraph(g, lam, Graph(names, adj), embedding, dg)

@@ -234,8 +234,9 @@ def is_incomplete(g: Graph) -> bool:
     return any(g.adj[v] | 1 << v != full for v in range(g.n))
 
 
-def cliques(g: Graph) -> Iterator[int]:
-    """All cliques of g as bitmasks, the empty clique included.
+def cliques(g: Graph, active: int | None = None) -> Iterator[int]:
+    """All cliques of g (inside ``active`` when given) as bitmasks, the empty
+    clique included.
 
     Plain recursive extension; inputs are small, and on triangle-free graphs
     this degenerates to the empty set, vertices, and edges.
@@ -248,19 +249,25 @@ def cliques(g: Graph) -> Iterator[int]:
             above = candidates & ~((1 << (v + 1)) - 1)
             yield from extend(current | 1 << v, above & g.adj[v])
 
-    yield from extend(0, g.full_mask)
+    yield from extend(0, g.full_mask if active is None else active)
 
 
-def has_separating_clique(g: Graph) -> bool:
+def has_separating_clique(g: Graph, active: int | None = None, through: int | None = None) -> bool:
     """Is there a clique whose removal leaves more than one component?
 
-    A disconnected graph is separated by the empty clique.  All cliques are
-    tested; for triangle-free graphs that means the empty set, single
-    vertices, and edges.
+    Works on the induced subgraph on ``active`` (all of g by default) without
+    building it.  A disconnected graph is separated by the empty clique.  All
+    cliques are tested; for triangle-free graphs that means the empty set,
+    single vertices, and edges.  Given ``through``, only the cliques holding
+    that vertex are: the caller knows every separating clique holds it
+    (``dismantle._dismantle`` proves this for a dominator).
     """
-    full = g.full_mask
-    for c in cliques(g):
-        if len(g.components(full & ~c)) > 1:
+    if active is None:
+        active = g.full_mask
+    base = 0 if through is None else 1 << through
+    pool = active if through is None else active & g.adj[through]
+    for c in cliques(g, pool):
+        if not g.is_connected_mask(active & ~(c | base)):
             return True
     return False
 
@@ -335,19 +342,21 @@ def satellites(g: Graph, strict: bool = False) -> list[tuple[int, int]]:
     return out
 
 
-def is_satellite(g: Graph, v: int, active: int | None = None, strict: bool = False) -> bool:
-    """Is v a satellite inside the induced subgraph on ``active``?"""
+def dominator(g: Graph, v: int, active: int | None = None) -> int | None:
+    """The lowest vertex whose link contains v's in the induced subgraph on
+    ``active``, or None when v is no satellite there."""
     if active is None:
         active = g.full_mask
     lv = g.adj[v] & active
     for w in iter_bits(active & ~(1 << v)):
-        lw = g.adj[w] & active
-        if lv & ~lw:
-            continue
-        if strict and lv == lw:
-            continue
-        return True
-    return False
+        if not lv & ~g.adj[w]:
+            return w
+    return None
+
+
+def is_satellite(g: Graph, v: int, active: int | None = None) -> bool:
+    """Is v a satellite inside the induced subgraph on ``active``?"""
+    return dominator(g, v, active) is not None
 
 
 def find_edge_cycle(adj: dict[int, set[int]]) -> list[int] | None:

@@ -10,7 +10,6 @@ the divide-and-conquer splitting of the search.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -172,9 +171,6 @@ class GraphOfCylinders:
             "rigids": [[names[v] for v in iter_bits(m)] for m in self.rigids],
             "edges": [[c, r] for c, r in self.edges],
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
 
     def to_dot(self) -> str:
         names = self.host.names

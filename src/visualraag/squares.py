@@ -1,42 +1,47 @@
-"""Diagonal graph and the component-of-full-support tests.
+"""Induced squares, the diagonal graph and the component-of-full-support tests.
 
-The diagonal graph has one vertex per unordered pair {a,b} that is the
-diagonal of some induced square, and an edge between {a,b} and {c,d} when
-{a,b}*{c,d} spans an induced square.  A graph is CFS when some component of
-its diagonal graph has full support (all non-cone vertices); strongly CFS
+One list, ``induced_squares``, serves every square-shaped question: the
+diagonal graph has one vertex per diagonal of an induced square and one edge
+per square, so it is read off the list in time linear in its length; R3 and
+the commuting graph use the same list.  A graph is CFS when some component
+of its diagonal graph has full support (all non-cone vertices); strongly CFS
 additionally requires the diagonal graph to be connected.  Both tests gate
-the search pipeline.
+the search pipeline, and the dismantling search runs the strongly-CFS test
+on each state from the squares it already holds.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import Graph, bit_list, bits, iter_bits
+
+# an induced square as its two diagonals ((a, b), (c, d))
+Square = tuple[tuple[int, int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
 class DiagonalGraph:
     """Diagonal graph of a host graph.
 
-    ``diagonals[i]`` is the i-th diagonal as a sorted host-vertex pair;
-    ``graph`` is the abstract graph on those indices (names "{a,b}" built from
-    host display names).  ``host`` keeps the reference for support queries.
+    ``diagonals`` are sorted host-vertex pairs, in sorted order; ``graph`` is
+    the abstract graph on their indices (names "{a,b}" built from host
+    display names).  ``host`` keeps the reference for support queries.
     """
 
     host: Graph
     diagonals: tuple[tuple[int, int], ...]
     graph: Graph
 
+    @cached_property
+    def _index(self) -> dict[tuple[int, int], int]:
+        return {p: i for i, p in enumerate(self.diagonals)}
+
     def index_of(self, a: int, b: int) -> int | None:
-        pair = (a, b) if a < b else (b, a)
-        try:
-            return self.diagonals.index(pair)
-        except ValueError:
-            return None
+        return self._index.get((a, b) if a < b else (b, a))
 
     def support_mask(self, diag_indices) -> int:
         m = 0
@@ -45,30 +50,22 @@ class DiagonalGraph:
             m |= 1 << a | 1 << b
         return m
 
-    def to_json_dict(self) -> dict:
-        names = self.host.names
-        return {
-            "diagonals": [[names[a], names[b]] for a, b in self.diagonals],
-            "edges": [[i, j] for i, j in self.graph.edges()],
-        }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-    def to_dot(self) -> str:
-        lines = ["graph diagonals {"]
-        for i, (a, b) in enumerate(self.diagonals):
-            lines.append(f'  d{i} [label="{{{self.host.names[a]},{self.host.names[b]}}}"];')
-        for i, j in self.graph.edges():
-            lines.append(f"  d{i} -- d{j};")
-        lines.append("}")
-        return "\n".join(lines)
-
-
-def _is_induced_square_pair(g: Graph, a: int, b: int, c: int, d: int) -> bool:
-    """Do the non-adjacent pairs {a,b}, {c,d} span an induced square?"""
-    cross = g.adj[a] & g.adj[b]
-    return bool(cross >> c & 1 and cross >> d & 1)
+def induced_squares(g: Graph, active: int | None = None) -> list[Square]:
+    """Induced squares of g (inside ``active`` when given), each once as its
+    diagonal pair ((a, b), (c, d)) with a < b, c < d and a < c, so the first
+    pair holds the smallest vertex; listed in ascending (a, b, c, d) order."""
+    if active is None:
+        active = g.full_mask
+    out = []
+    for a in iter_bits(active):
+        above = active >> (a + 1) << (a + 1)
+        for b in iter_bits(above & ~g.adj[a]):
+            common = g.adj[a] & g.adj[b] & above
+            for c, d in itertools.combinations(bit_list(common), 2):
+                if not g.adj[c] >> d & 1:
+                    out.append(((a, b), (c, d)))
+    return out
 
 
 def support(dset) -> set[int]:
@@ -80,27 +77,29 @@ def support(dset) -> set[int]:
     return out
 
 
+def _diagonal_adjacency(squares: list[Square]) -> tuple[list[tuple[int, int]], list[int]]:
+    """The diagonals of ``squares`` in sorted order, and the diagonal graph's
+    adjacency bitsets over their indices: one edge per square."""
+    diags = sorted({pair for square in squares for pair in square})
+    index = {pair: i for i, pair in enumerate(diags)}
+    adj = [0] * len(diags)
+    for p, q in squares:
+        i, j = index[p], index[q]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return diags, adj
+
+
+def _cone(g: Graph, active: int) -> int:
+    """Vertices of ``active`` adjacent to every other vertex of it."""
+    if active.bit_count() < 2:
+        return 0
+    return bits(v for v in iter_bits(active) if g.adj[v] & active == active & ~(1 << v))
+
+
 def diagonal_graph(g: Graph, active: int | None = None) -> DiagonalGraph:
     """Exact diagonal graph of g (restricted to ``active`` when given)."""
-    if active is None:
-        active = g.full_mask
-    verts = bit_list(active)
-    diags: list[tuple[int, int]] = []
-    for a, b in itertools.combinations(verts, 2):
-        if g.adj[a] >> b & 1:
-            continue
-        common = g.adj[a] & g.adj[b] & active
-        if any(~g.adj[c] & common & ~(1 << c) for c in iter_bits(common)):
-            diags.append((a, b))
-    index = {p: i for i, p in enumerate(diags)}
-    adj = [0] * len(diags)
-    for (a, b), (c, d) in itertools.combinations(diags, 2):
-        if len({a, b, c, d}) < 4:
-            continue
-        if _is_induced_square_pair(g, a, b, c, d):
-            i, j = index[(a, b)], index[(c, d)]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    diags, adj = _diagonal_adjacency(induced_squares(g, active))
     names = [f"{{{g.names[a]},{g.names[b]}}}" for a, b in diags]
     return DiagonalGraph(g, tuple(diags), Graph(names, adj))
 
@@ -131,11 +130,7 @@ def cfs_status(g: Graph, active: int | None = None) -> CfsReport:
     """
     if active is None:
         active = g.full_mask
-    nverts = active.bit_count()
-    cone = bits(
-        v for v in iter_bits(active) if (g.adj[v] & active) == active & ~(1 << v)
-    ) if nverts > 1 else 0
-    target = active & ~cone
+    cone = _cone(g, active)
     dg = diagonal_graph(g, active)
     if not dg.diagonals:
         diagnostic = "diagonal graph is empty"
@@ -143,12 +138,8 @@ def cfs_status(g: Graph, active: int | None = None) -> CfsReport:
             diagnostic += "; graph has cone vertices (star-like)"
         return CfsReport(CfsStatus.NOT_CFS, dg, (), diagnostic)
     comps = dg.graph.components(dg.graph.full_mask)
-    witness: tuple[int, ...] = ()
-    for comp in comps:
-        idxs = bit_list(comp)
-        if dg.support_mask(idxs) | cone == target | cone:
-            witness = tuple(idxs)
-            break
+    witness = next((tuple(iter_bits(c)) for c in comps
+                    if dg.support_mask(iter_bits(c)) | cone == active), ())
     if not witness:
         return CfsReport(CfsStatus.NOT_CFS, dg, (), "no component has full support")
     if len(comps) == 1:
@@ -156,5 +147,34 @@ def cfs_status(g: Graph, active: int | None = None) -> CfsReport:
     return CfsReport(CfsStatus.CFS, dg, witness, "diagonal graph is disconnected")
 
 
-def is_strongly_cfs(g: Graph, active: int | None = None) -> bool:
-    return cfs_status(g, active).status is CfsStatus.STRONGLY_CFS
+def is_strongly_cfs(g: Graph, active: int | None = None, squares: list[Square] | None = None) -> bool:
+    """Is g (restricted to ``active``) strongly CFS?
+
+    ``squares``, when given, may be any list of g's induced squares holding
+    all those inside ``active``, such as a parent state's.  The squares
+    inside ``active`` must connect their diagonals and, with the cone
+    vertices, cover ``active``; no diagonal graph is built.
+    """
+    if active is None:
+        active = g.full_mask
+    if squares is None:
+        squares = induced_squares(g, active)
+    inside = []
+    corners = 0
+    for square in squares:
+        (a, b), (c, d) = square
+        m = 1 << a | 1 << b | 1 << c | 1 << d
+        if m & active == m:
+            inside.append(square)
+            corners |= m
+    if not inside:
+        return False
+    _, adj = _diagonal_adjacency(inside)
+    reached, stack = 1, [0]
+    while stack:
+        new = adj[stack.pop()] & ~reached
+        reached |= new
+        stack.extend(iter_bits(new))
+    if reached != (1 << len(adj)) - 1:
+        return False
+    return corners == active or corners | _cone(g, active) == active

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -62,6 +63,14 @@ def wheel_glued_to_square() -> tuple[Graph, tuple[int, int]]:
     sq = square()
     sq_lam = Lambda.from_names(sq, [("a", "b")], [("c", "d")])
     return glue_at_lambda_edge(bicycle_wheel(3), (sq, sq_lam), None, sq_lam.red_edges[0])
+
+
+def sweep_graphs() -> list[Graph]:
+    """Every qualifying graph on at most 8 vertices (the committed sweep)."""
+    from visualraag.graphs import from_graph6
+
+    path = Path(__file__).parent / "data" / "connected_tf_nosep_le8.g6"
+    return [from_graph6(line) for line in path.read_text().split()]
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -211,3 +211,25 @@ def test_no_timing_byte_stable(capsys, wheel_files):
     _, out1 = run(capsys, "--format", "json", "--no-timing", "search", str(gpath))
     _, out2 = run(capsys, "--format", "json", "--no-timing", "search", str(gpath))
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("nosuchcommand",),
+    ("search",),
+    ("search", "g.json", "--engine", "bogus"),
+    ("search", "g.json", "--timeout", "soon"),
+    ("--format", "yaml", "check", "g.json"),
+])
+def test_usage_errors_exit_1_not_refusal(capsys, argv):
+    # 2 is reserved for precondition refusal; argparse alone would exit 2 here
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "usage:" in err and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--help"])
+    assert exc.value.code == 0
+    assert "--engine" in capsys.readouterr().out

@@ -17,7 +17,13 @@ from visualraag.dl import (
     verify_fidl,
 )
 from visualraag.graphs import Graph, bits, bit_list, link
-from visualraag.generators import base_square, bicycle_wheel, fixtures, mixed_tree_instance
+from visualraag.generators import (
+    base_square,
+    bicycle_wheel,
+    fixtures,
+    mixed_tree_instance,
+    random_coning,
+)
 
 from conftest import complete_bipartite, square
 
@@ -188,6 +194,19 @@ def test_commuting_graph_mixed_tree_matches_drawn_subgraph():
     }
     assert got == expected
     assert all(ix is not None for ix in delta.embedding)
+
+
+def test_commuting_graph_matches_pairwise_square_test():
+    instances = [bicycle_wheel(n) for n in (3, 4, 5)] + [mixed_tree_instance()]
+    instances += [(s.graph, s.lam) for s in (random_coning(seed, 16) for seed in range(8))]
+    for g, lam in instances:
+        delta = commuting_graph(g, lam)
+        edges = lam.edges
+        for i, (a, b) in enumerate(edges):
+            for j, (c, d) in enumerate(edges):
+                cross = g.adj[a] & g.adj[b]
+                spans = len({a, b, c, d}) == 4 and bool(cross >> c & 1 and cross >> d & 1)
+                assert delta.graph.has_edge(i, j) == spans
 
 
 def test_delta_embeds_in_diagonal_graph():

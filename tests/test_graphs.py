@@ -14,6 +14,7 @@ from visualraag.graphs import (
     bits,
     cliques,
     complement,
+    dominator,
     from_graph6,
     from_json,
     has_separating_clique,
@@ -38,6 +39,7 @@ from conftest import (
     random_graph,
     random_triangle_free,
     square,
+    sweep_graphs,
     to_networkx,
 )
 
@@ -360,3 +362,55 @@ def test_find_edge_cycle():
     cycle = find_edge_cycle(square)
     assert sorted(cycle) == [0, 1, 2, 3]
     assert all(cycle[i - 1] in square[cycle[i]] for i in range(len(cycle)))
+
+
+# ------------------------------------------- separating cliques on a vertex mask
+
+
+def test_separating_clique_on_mask_matches_subgraph_sweep():
+    for g in sweep_graphs():
+        for mask in range(1 << g.n):
+            assert has_separating_clique(g, mask) == has_separating_clique(g.subgraph(mask))
+
+
+def test_separating_clique_on_mask_matches_subgraph_with_triangles():
+    rng = random.Random(4242)
+    triangles = 0
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(3, 7), rng.choice((0.3, 0.5, 0.7)))
+        triangles += not is_triangle_free(g)
+        for mask in range(1 << g.n):
+            sub = g.subgraph(mask)
+            assert has_separating_clique(g, mask) == has_separating_clique(sub)
+            assert sorted(c.bit_count() for c in cliques(g, mask)) == sorted(
+                c.bit_count() for c in cliques(sub))
+    assert triangles >= 10
+
+
+def test_dominator_lemma_on_sweep():
+    """If M has no separating clique and w dominates x in M, every separating
+    clique of M - x contains w: testing only the cliques through w decides."""
+    triples = 0
+    for g in sweep_graphs():
+        for mask in range(1, 1 << g.n):
+            if has_separating_clique(g, mask):
+                continue
+            for x in bit_list(mask):
+                rest = mask & ~(1 << x)
+                full = has_separating_clique(g, rest)
+                for w in bit_list(rest):
+                    if g.adj[x] & mask & ~g.adj[w]:
+                        continue
+                    triples += 1
+                    assert has_separating_clique(g, rest, through=w) == full
+    assert triples == 11196  # (mask, satellite, dominator) triples of the sweep
+
+
+@given(st.integers(2, 8))
+@settings(max_examples=40)
+def test_dominator_is_lowest_listed_dominator(n):
+    g = random_triangle_free(random.Random(n * 19 + 2), n)
+    listed = dict(satellites(g))
+    for v in range(g.n):
+        doms = listed.get(v, 0)
+        assert dominator(g, v) == (bit_list(doms)[0] if doms else None)

@@ -1,7 +1,9 @@
 """Static hygiene of the package source, checked with ``ast`` alone.
 
 Every import binds a name that the module uses (``__init__.py`` re-exports
-are exempt), and no module imports a private (underscore) name from another.
+are exempt), no module imports a private (underscore) name from another,
+and every private module-level function or class is referenced somewhere in
+the package.
 """
 
 import ast
@@ -73,3 +75,23 @@ def test_no_private_imports_across_modules(name):
         if level > 0 and imported.startswith("_") and not imported.startswith("__")
     )
     assert not private, f"{name} imports private names from sibling modules: {private}"
+
+
+def _private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                yield node.name
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names loaded, plus attribute names read, anywhere in the module."""
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return _used_names(tree) | attrs
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unreferenced_private_definitions(name):
+    referenced = set().union(*(_referenced(_tree(m)) for m in MODULES))
+    dead = sorted(d for d in _private_definitions(_tree(name)) if d not in referenced)
+    assert not dead, f"{name} defines private names nothing references: {dead}"

@@ -5,8 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visualraag.graphs import bits, has_separating_clique, is_incomplete, is_triangle_free
-from visualraag.squares import CfsStatus, cfs_status, diagonal_graph, is_strongly_cfs, support
-from visualraag.generators import bicycle_wheel
+from visualraag.squares import (
+    CfsStatus,
+    cfs_status,
+    diagonal_graph,
+    induced_squares,
+    is_strongly_cfs,
+    support,
+)
+from visualraag.generators import bicycle_wheel, random_coning
 
 from conftest import (
     complete_bipartite,
@@ -14,6 +21,7 @@ from conftest import (
     path_graph,
     random_triangle_free,
     square,
+    sweep_graphs,
     to_networkx,
 )
 
@@ -118,3 +126,64 @@ def test_squares_match_networkx_4_cycles(n):
         for i, j in dg.graph.edges()
     }
     assert dg_edges == squares
+
+
+# ------------------------------------------------------ one square list
+
+
+def _inside(square, mask):
+    return all(mask >> v & 1 for pair in square for v in pair)
+
+
+def test_induced_squares_on_mask_is_the_whole_list_filtered():
+    for g in sweep_graphs():
+        whole = induced_squares(g)
+        assert whole == sorted(whole)
+        for mask in range(1 << g.n):
+            assert induced_squares(g, mask) == [sq for sq in whole if _inside(sq, mask)]
+
+
+@given(st.integers(4, 10))
+@settings(max_examples=30, deadline=None)
+def test_diagonal_graph_sorted_with_one_edge_per_square(n):
+    g = random_triangle_free(random.Random(n * 53 + 9), n)
+    dg = diagonal_graph(g)
+    sq = induced_squares(g)
+    assert list(dg.diagonals) == sorted({pair for s in sq for pair in s})
+    assert dg.graph.edge_count() == len(sq)
+    for i, pair in enumerate(dg.diagonals):
+        assert dg.index_of(*pair) == i == dg.index_of(*reversed(pair))
+
+
+def _strongly(g, mask):
+    return cfs_status(g, mask).status is CfsStatus.STRONGLY_CFS
+
+
+def test_is_strongly_cfs_from_squares_matches_cfs_status_on_sweep_masks():
+    seen = set()
+    for g in sweep_graphs():
+        whole = induced_squares(g)
+        for mask in range(1 << g.n):
+            want = _strongly(g, mask)
+            assert is_strongly_cfs(g, mask, whole) == want
+            assert is_strongly_cfs(g, mask) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_is_strongly_cfs_from_squares_matches_cfs_status_on_coning_strata():
+    """Each stratum, and each stratum less one vertex, judged from the
+    squares of the stratum above it, as the dismantling search does."""
+    seen = set()
+    for seed in range(6):
+        seq = random_coning(seed=seed, steps=14)
+        g = seq.graph
+        for k in range(len(seq.steps) + 1):
+            above = (1 << min(g.n, 5 + k)) - 1
+            stratum = (1 << (4 + k)) - 1
+            squares = induced_squares(g, above)
+            for mask in [stratum] + [stratum & ~(1 << v) for v in range(4 + k)]:
+                want = _strongly(g, mask)
+                assert is_strongly_cfs(g, mask, squares) == want
+                seen.add(want)
+    assert seen == {True, False}
