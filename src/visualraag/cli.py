@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -48,9 +48,7 @@ EXIT_BUDGET = 4
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage or parse error; ``main`` exits with ``EXIT_USAGE``."""
 
 
 def load_graph(source: str) -> Graph:
@@ -245,7 +243,9 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _batch_one(item: tuple[int, str, str, float | None]) -> dict:
+def _batch_row(item: tuple[int, str, str, float | None], with_oracle: bool) -> dict:
+    """One row of ``batch``: parse the graph once, decide it with
+    ``global_search`` and, ``with_oracle``, with ``naive_search`` too."""
     index, label, g6, timeout = item
     row: dict = {"index": index, "graph": label}
     try:
@@ -260,15 +260,8 @@ def _batch_one(item: tuple[int, str, str, float | None]) -> dict:
     row["decision"] = verdict.decision
     row["stage"] = verdict.stage
     row["reason"] = verdict.reason or ""
-    return row
-
-
-def _batch_one_both(item: tuple[int, str, str, float | None]) -> dict:
-    row = _batch_one(item)
-    if row["decision"] == "parse_error":
+    if not with_oracle:
         return row
-    index, label, g6, timeout = item
-    g = from_graph6(g6) if not g6.lstrip().startswith("{") else from_json(g6)
     t0 = time.perf_counter()
     overdict = naive_search(g, OracleLimits(seconds=timeout))
     row["oracle_ms"] = round((time.perf_counter() - t0) * 1000, 3)
@@ -291,10 +284,9 @@ def cmd_batch(args) -> int:
         text = sys.stdin.read() if source == "-" else Path(source).read_text()
         for i, line in enumerate(l for l in text.splitlines() if l.strip()):
             entries.append((i, f"line{i}", line.strip(), args.timeout))
-    worker = _batch_one_both if args.engine == "both" else _batch_one
-    workers = args.workers or int(os.environ.get("VISUALRAAG_WORKERS", "0")) or 1
-    if workers > 1 and len(entries) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    worker = functools.partial(_batch_row, with_oracle=args.engine == "both")
+    if args.workers > 1 and len(entries) > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(worker, entries))
     else:
         rows = [worker(e) for e in entries]
@@ -402,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("input", help="file, directory, or - for stdin")
     b.add_argument("--engine", choices=("dismantle", "both"), default="dismantle")
     b.add_argument("--timeout", type=float, default=None, help="seconds per graph")
-    b.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default $VISUALRAAG_WORKERS or 1)")
+    b.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     b.set_defaults(func=cmd_batch)
 
     j = sub.add_parser("jsj", help="graph of cylinders")
@@ -418,10 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

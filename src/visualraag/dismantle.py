@@ -12,8 +12,8 @@ One backtracking core, ``_dismantle``, with one failure memo, serves both
 first sequence whose steps pass the step condition, checked as each step is
 made); it derives each state's admissibility incrementally from its parent's.
 ``relative_search`` runs the gate sequence and that search for one graph
-with required witness edges; ``global_search`` adds the graph-of-cylinders
-gate and divide-and-conquer over uncrossed cuts.  Every "yes" is verified by
+with required witness edges; ``global_search`` adds the crossed-cut gate
+and divide-and-conquer over uncrossed cuts.  Every "yes" is verified by
 ``verify_fidl`` on the graph it answers for.
 """
 
@@ -239,7 +239,6 @@ class DismantleStats:
 
     states_expanded: int = 0
     removals_tried: int = 0
-    dead_states: int = 0
     sequences_yielded: int = 0
 
 
@@ -372,7 +371,6 @@ def _dismantle(
                 yield done
         if not produced:
             failed.add(key)
-            stats.dead_states += 1
 
     yield from descend(g.full_mask, [], induced_squares(g), clean_root)
 
@@ -624,14 +622,17 @@ def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
     """Decide witness existence for a whole graph.
 
     Pipeline: preconditions; square base case; strongly-CFS and forbidden
-    cycle gates; crossed-cut (hanging) gate; then divide and conquer over
-    uncrossed cuts, solving each piece relative to the cut pairs it contains
-    and assembling the partial witnesses; common neighbors of a cut pair are
-    cylinder vertices, covered at assembly.  Splitting is an optimization: a
-    cut whose pieces fail the preconditions falls back to whole-graph
-    relative search.  A "yes" is verified on ``g`` exactly once, here for
-    an assembled witness and in ``relative_search`` otherwise.  The timings
-    are this function's own stages; ``search`` includes the nested searches.
+    cycle gates; crossed-cut (hanging) gate, from the cuts and their
+    crossings alone; then divide and conquer over uncrossed cuts, solving
+    each piece relative to the cut pairs it contains and assembling the
+    partial witnesses; common neighbors of a cut pair are cylinder vertices,
+    covered at assembly.  Splitting is the paper's decomposition, and it
+    gives the assembled witness; it is not a speed-up (whole-graph relative
+    search is often faster).  A graph with no uncrossed cut whose pieces
+    pass the preconditions is searched whole.  A "yes" is verified on ``g``
+    exactly once, here for an assembled witness and in ``relative_search``
+    otherwise.  The timings are this function's own stages; ``search``
+    includes the nested searches.
     """
     timings: dict = {}
     t0 = time.perf_counter()
@@ -649,15 +650,16 @@ def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
     if gated is not None:
         return gated
     t0 = time.perf_counter()
-    goc = jsj.graph_of_cylinders(g)
+    cuts = jsj.find_cuts(g)
+    crossing = jsj.crossing_pair(g, cuts)
     t0 = record_stage(timings, "jsj", t0)
-    if goc.hanging:
-        k1, k2 = goc.crossing_witness  # type: ignore[misc]
+    if crossing is not None:
+        k1, k2 = crossing
         return Verdict("no", "jsj", reason="CrossingCuts",
                        detail={"cuts": [k1.names(g), k2.names(g)]},
                        timings_ms=timings)
     try:
-        verdict = _solve_with_splitting(g, goc.cuts, budget)
+        verdict = _solve_with_splitting(g, cuts, budget)
     except BudgetExceeded:
         return Verdict("budget_exceeded", "dismantle", reason="BudgetExceeded",
                        timings_ms=timings)
@@ -675,7 +677,7 @@ def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
 
 def _solve_with_splitting(
     g: Graph,
-    cuts: tuple[jsj.Cut, ...] | None,
+    cuts: Sequence[jsj.Cut] | None,
     budget: Budget | None,
     required: tuple[tuple[int, int], ...] = (),
 ) -> Verdict:
@@ -685,7 +687,7 @@ def _solve_with_splitting(
     cut pair are covered by ``jsj.assemble_lambdas``.  An assembled "yes"
     carries no report: the caller verifies the final witness once."""
     if cuts is None:
-        cuts = tuple(jsj.find_cuts(g))
+        cuts = jsj.find_cuts(g)
     split = _pick_split(g, cuts, required)
     if split is None:
         return relative_search(g, required, budget)
@@ -719,33 +721,23 @@ def _solve_with_splitting(
 def _pick_split(
     g: Graph, cuts: Sequence[jsj.Cut], required: tuple[tuple[int, int], ...]
 ) -> tuple[jsj.Cut, list[Graph]] | None:
-    """An uncrossed cut with the parts to solve at it, or None.
+    """The first usable uncrossed cut with the parts to solve at it, or None.
 
-    The parts to solve are those of components with two or more vertices;
-    a single-vertex component is a common neighbor of the cut pair, a
-    cylinder vertex that assembly covers (its bare 2-path is never solved).
-    Usable means: every part to solve passes the search preconditions and no
-    required pair is torn across parts.
+    A part is a component plus the cut vertices.  The parts to solve are
+    those of components with two or more vertices; a single-vertex
+    component is a common neighbor of the cut pair, a cylinder vertex that
+    assembly covers (its bare 2-path is never solved).  Usable means no
+    required pair is torn (each lies inside some part) and no part to solve
+    has a separating clique.  The other search preconditions hold for every
+    part: it holds the cut's non-adjacent pair, and it is an induced
+    subgraph of a triangle-free graph.  Parts are judged as vertex masks of
+    ``g``; only the returned cut's parts to solve are built as graphs.
     """
-    if not cuts:
-        return None
-    req_names = [(g.names[p], g.names[q]) for p, q in required]
     for cut in jsj.uncrossed_cuts(g, cuts):
-        parts = jsj.split_at_cut(g, cut)
-        if len(parts) < 2:
+        parts = [comp | cut.mask for comp in cut.components]
+        if not all(any(m >> p & 1 and m >> q & 1 for m in parts) for p, q in required):
             continue
-        solve = [part for comp, part in zip(cut.components, parts)
-                 if comp.bit_count() > 1]
-        ok = all(not precondition_failures(part) for part in solve)
-        if ok:
-            for p_name, q_name in req_names:
-                if not any(
-                    part.try_vertex_id(p_name) is not None
-                    and part.try_vertex_id(q_name) is not None
-                    for part in parts
-                ):
-                    ok = False
-                    break
-        if ok:
-            return cut, solve
+        solve = [m for comp, m in zip(cut.components, parts) if comp.bit_count() > 1]
+        if not any(has_separating_clique(g, m) for m in solve):
+            return cut, [g.subgraph(m) for m in solve]
     return None

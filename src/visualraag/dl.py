@@ -225,7 +225,7 @@ class CombinedHulls:
         )
 
 
-def lambda_hull(lam: Lambda, s: Iterable[int] | int, hulls: HullOracle | None = None) -> int:
+def lambda_hull(lam: Lambda, s: Iterable[int] | int) -> int:
     """Vertex set of the convex hull of ``s`` inside the witness forest.
 
     Computed per color and per forest component: vertices of ``s`` in one
@@ -233,10 +233,7 @@ def lambda_hull(lam: Lambda, s: Iterable[int] | int, hulls: HullOracle | None = 
     component map to themselves.  Requires each color class to be a forest
     (condition R1); results are unspecified otherwise.
     """
-    smask = s if isinstance(s, int) else bits(s)
-    if hulls is None:
-        hulls = HullOracle(lam)
-    return hulls.hull(smask)
+    return HullOracle(lam).hull(s if isinstance(s, int) else bits(s))
 
 
 def is_lambda_convex(lam: Lambda, s: Iterable[int] | int) -> bool:
@@ -406,6 +403,10 @@ def check_r4(
 
     Checking induced cycles only is sufficient: a shortest violating cycle
     can be cut along any chord into shorter cycles covering its edges.
+    Induced squares are skipped, as they cannot fail: on a square a-b-c-d
+    the edge a-b sits in the square itself, whose opposite corners c and d
+    lie in the cycle, hence in its hull.  So the first failing cycle, and
+    the report, are those of the full check.
     """
     if cycles is None:
         cycles = [list(c) for c in induced_cycles(g)]
@@ -413,6 +414,8 @@ def check_r4(
         assert lam is not None, "either a witness or a hull provider is required"
         hulls = HullOracle(lam)
     for cyc in cycles:
+        if len(cyc) == 4:
+            continue
         hull = hulls.hull(bits(cyc))
         closed = list(cyc) + [cyc[0]]
         for i in range(len(cyc)):

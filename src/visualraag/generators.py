@@ -73,16 +73,19 @@ def cone_step(
     return g2, Lambda.make(g2, red, blue)
 
 
-def _convex_link_subsets(g: Graph, lam: Lambda, v: int, cap: int) -> list[int]:
+MAX_LINK_FOR_ENUMERATION = 12
+
+
+def _convex_link_subsets(g: Graph, lam: Lambda, v: int) -> list[int]:
     """Witness-convex subsets of lk(v) with at least two vertices.
 
     The link of a vertex in a verified instance is convex, so its convex
     subsets are exactly the vertex sets of subtrees of the witness forest
-    restricted to the link; enumerated by growing connected sets.  ``cap``
-    bounds the link size fed to the enumeration (documented cost guard).
+    restricted to the link; enumerated by growing connected sets.  A link
+    larger than ``MAX_LINK_FOR_ENUMERATION`` is returned whole (cost guard).
     """
     lk = link(g, v)
-    if lk.bit_count() > cap:
+    if lk.bit_count() > MAX_LINK_FOR_ENUMERATION:
         return [lk]
     adj = lam.adjacency()
     found: set[int] = set()
@@ -103,9 +106,7 @@ def _convex_link_subsets(g: Graph, lam: Lambda, v: int, cap: int) -> list[int]:
     return sorted(found)
 
 
-def random_coning(
-    seed: int, steps: int, max_link_for_enumeration: int = 12
-) -> ConingSequence:
+def random_coning(seed: int, steps: int) -> ConingSequence:
     """Grow a verified instance with uniformly random valid coning steps.
 
     Deterministic for a fixed seed.  Dead ends cannot occur: the full link of
@@ -117,7 +118,7 @@ def random_coning(
     out_steps: list[ConingStep] = []
     for _ in range(steps):
         v = rng.randrange(g.n)
-        options = _convex_link_subsets(g, lam, v, max_link_for_enumeration)
+        options = _convex_link_subsets(g, lam, v)
         cone_set = options[rng.randrange(len(options))]
         x = g.n
         g, lam = cone_step(g, lam, v, cone_set)

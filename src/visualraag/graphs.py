@@ -354,9 +354,9 @@ def dominator(g: Graph, v: int, active: int | None = None) -> int | None:
     return None
 
 
-def is_satellite(g: Graph, v: int, active: int | None = None) -> bool:
-    """Is v a satellite inside the induced subgraph on ``active``?"""
-    return dominator(g, v, active) is not None
+def is_satellite(g: Graph, v: int) -> bool:
+    """Does some other vertex's link contain v's?"""
+    return dominator(g, v) is not None
 
 
 def find_edge_cycle(adj: dict[int, set[int]]) -> list[int] | None:
@@ -387,7 +387,7 @@ def find_edge_cycle(adj: dict[int, set[int]]) -> list[int] | None:
     return None
 
 
-def induced_cycles(g: Graph, max_len: int | None = None, active: int | None = None) -> Iterator[list[int]]:
+def induced_cycles(g: Graph, max_len: int | None = None) -> Iterator[list[int]]:
     """Chordless cycles, each yielded once up to rotation and reflection.
 
     DFS from the smallest cycle vertex; a path extends only by vertices
@@ -396,8 +396,6 @@ def induced_cycles(g: Graph, max_len: int | None = None, active: int | None = No
     """
     if max_len is not None and max_len < 3:
         return
-    if active is None:
-        active = g.full_mask
 
     def extend(path: list[int], path_mask: int) -> Iterator[list[int]]:
         last = path[-1]
@@ -410,7 +408,7 @@ def induced_cycles(g: Graph, max_len: int | None = None, active: int | None = No
             return
         if max_len is not None and len(path) >= max_len:
             return
-        for w in iter_bits(g.adj[last] & active):
+        for w in iter_bits(g.adj[last]):
             if w <= start or path_mask >> w & 1:
                 continue
             # w may touch the path only at `last` (and start, closing next call)
@@ -418,8 +416,8 @@ def induced_cycles(g: Graph, max_len: int | None = None, active: int | None = No
                 continue
             yield from extend(path + [w], path_mask | 1 << w)
 
-    for s in iter_bits(active):
-        for u in iter_bits(g.adj[s] & active):
+    for s in range(g.n):
+        for u in iter_bits(g.adj[s]):
             if u < s:
                 continue
             yield from extend([s, u], 1 << s | 1 << u)

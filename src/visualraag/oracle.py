@@ -157,19 +157,33 @@ def _class_complement_edges(g: Graph, cls: int) -> tuple[list[int], list[tuple[i
     return verts, edges
 
 
-def _lambda_candidates(
-    g: Graph, limits: OracleLimits
-) -> tuple[int, "Iterator[tuple[list, list, CombinedHulls]]"] | Verdict:
-    """Budget gate plus a generator of (red_edges, blue_edges, hulls) triples.
+def _tested_pairs(
+    g: Graph, limits: OracleLimits, timings: dict
+) -> Verdict | tuple[int, float, Iterator[tuple[list, list, bool]]]:
+    """The one loop of ``naive_search`` and ``count_all_fidl``.
 
-    The hull provider reuses one prebuilt per-tree oracle per side so its
-    memoized answers survive across pairings.
+    Runs the preconditions (stage ``preconditions`` of ``timings``) and the
+    enumeration gates: the host is bipartite, each class has a spanning tree
+    of the complement, and the tree pairs number at most
+    ``limits.max_tree_pairs``.  Returns the verdict of the first that
+    decides, or the number of tree pairs, the start of the ``oracle`` stage
+    and a generator that checks the budget and yields (red edges, blue
+    edges, passed) for each tree pair in order; passed means R3 then R4
+    hold, on squares and cycles listed once.  One prebuilt hull oracle per
+    tree keeps its memoized answers across every pairing.
     """
+    t0 = time.perf_counter()
+    fails = precondition_failures(g)
+    t0 = record_stage(timings, "preconditions", t0)
+    if fails:
+        return Verdict("refused", "precondition", reason="PreconditionFailed",
+                       detail={"failures": fails}, timings_ms=timings)
     try:
         col = bipartition(g)
     except NotBipartiteError as err:
         return Verdict("no", "oracle", reason="NotBipartite",
-                       detail={"odd_walk": [g.names[v] for v in err.odd_walk]})
+                       detail={"odd_walk": [g.names[v] for v in err.odd_walk]},
+                       timings_ms=timings)
     red_verts, red_edges = _class_complement_edges(g, col.red)
     blue_verts, blue_edges = _class_complement_edges(g, col.blue)
     n_red = spanning_tree_count(len(red_verts), red_edges)
@@ -177,12 +191,17 @@ def _lambda_candidates(
     total = n_red * n_blue
     if total == 0:
         return Verdict("no", "oracle", reason="NoFidlLambda",
-                       detail={"why": "a color class admits no spanning tree"})
+                       detail={"why": "a color class admits no spanning tree"},
+                       timings_ms=timings)
     if total > limits.max_tree_pairs:
         return Verdict("budget_exceeded", "oracle", reason="BudgetExceeded",
-                       detail={"tree_pairs": total, "cap": limits.max_tree_pairs})
+                       detail={"tree_pairs": total, "cap": limits.max_tree_pairs},
+                       timings_ms=timings)
+    squares = induced_squares(g)
+    cycles = [list(c) for c in induced_cycles(g)]
+    budget = Budget.from_seconds(limits.seconds)
 
-    def gen() -> Iterator[tuple[list, list, CombinedHulls]]:
+    def pairs() -> Iterator[tuple[list, list, bool]]:
         blue_pool = []
         for t in spanning_trees(len(blue_verts), blue_edges):
             blue = [(blue_verts[a], blue_verts[b]) for a, b in t]
@@ -191,9 +210,12 @@ def _lambda_candidates(
             red = [(red_verts[a], red_verts[b]) for a, b in rt]
             red_hulls = HullOracle.from_edges(g.n, red)
             for blue, blue_hulls in blue_pool:
-                yield red, blue, CombinedHulls(red_hulls, blue_hulls, col.red, col.blue)
+                budget.check()
+                hulls = CombinedHulls(red_hulls, blue_hulls, col.red, col.blue)
+                yield red, blue, (check_r3(g, None, squares, hulls).passed
+                                  and check_r4(g, None, cycles, hulls).passed)
 
-    return total, gen()
+    return total, t0, pairs()
 
 
 def naive_search(g: Graph, limits: OracleLimits = OracleLimits()) -> Verdict:
@@ -202,29 +224,15 @@ def naive_search(g: Graph, limits: OracleLimits = OracleLimits()) -> Verdict:
     Budget exhaustion is its own outcome, never conflated with a refutation.
     """
     timings: dict = {}
-    t0 = time.perf_counter()
-    fails = precondition_failures(g)
-    t0 = record_stage(timings, "preconditions", t0)
-    if fails:
-        return Verdict("refused", "precondition", reason="PreconditionFailed",
-                       detail={"failures": fails}, timings_ms=timings)
-    setup = _lambda_candidates(g, limits)
+    setup = _tested_pairs(g, limits, timings)
     if isinstance(setup, Verdict):
-        setup.timings_ms.update(timings)
         return setup
-    total, candidates = setup
-    squares = induced_squares(g)
-    cycles = [list(c) for c in induced_cycles(g)]
-    budget = Budget.from_seconds(limits.seconds)
+    total, t0, pairs = setup
     tested = 0
     try:
-        for red, blue, hulls in candidates:
-            budget.check()
+        for red, blue, passed in pairs:
             tested += 1
-            if (
-                check_r3(g, None, squares, hulls).passed
-                and check_r4(g, None, cycles, hulls).passed
-            ):
+            if passed:
                 lam = Lambda.make(g, red, blue)
                 report = verify_fidl(g, lam)
                 assert report.passed
@@ -239,35 +247,17 @@ def naive_search(g: Graph, limits: OracleLimits = OracleLimits()) -> Verdict:
                    detail={"tested": tested, "tree_pairs": total}, timings_ms=timings)
 
 
-def count_all_fidl(
-    g: Graph, limits: OracleLimits = OracleLimits()
-) -> tuple[int, list[Lambda]] | Verdict:
+def count_all_fidl(g: Graph) -> tuple[int, list[Lambda]] | Verdict:
     """All passing witnesses, canonicalized (sorted edges, classes anchored so
-    the class containing vertex 0 comes first)."""
-    fails = precondition_failures(g)
-    if fails:
-        return Verdict("refused", "precondition", reason="PreconditionFailed",
-                       detail={"failures": fails})
-    setup = _lambda_candidates(g, limits)
+    the class containing vertex 0 comes first), under the default
+    ``OracleLimits``: no deadline, and a verdict past the tree-pair cap."""
+    setup = _tested_pairs(g, OracleLimits(), {})
     if isinstance(setup, Verdict):
         if setup.reason in ("NotBipartite", "NoFidlLambda"):
             return 0, []
         return setup
-    _total, candidates = setup
-    squares = induced_squares(g)
-    cycles = [list(c) for c in induced_cycles(g)]
-    budget = Budget.from_seconds(limits.seconds)
-    found: list[Lambda] = []
-    try:
-        for red, blue, hulls in candidates:
-            budget.check()
-            if (
-                check_r3(g, None, squares, hulls).passed
-                and check_r4(g, None, cycles, hulls).passed
-            ):
-                found.append(canonical_lambda(Lambda.make(g, red, blue)))
-    except BudgetExceeded:
-        return Verdict("budget_exceeded", "oracle", reason="BudgetExceeded")
+    _total, _t0, pairs = setup
+    found = [canonical_lambda(Lambda.make(g, red, blue)) for red, blue, passed in pairs if passed]
     found.sort(key=lambda lam: (lam.red_edges, lam.blue_edges))
     return len(found), found
 

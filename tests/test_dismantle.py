@@ -16,6 +16,7 @@ from visualraag.dismantle import (
     reconstruct_lambda,
     relative_search,
 )
+from visualraag import jsj
 from visualraag.dl import verify_fidl
 from visualraag.graphs import Graph, bits, bit_list
 from visualraag.oracle import naive_search
@@ -254,6 +255,20 @@ def test_global_search_fixture_expectations():
         assert verdict.decision == f.expect_search, (name, verdict.reason)
         if verdict.is_yes:
             assert verify_fidl(f.graph, verdict.lam).passed
+
+
+def test_global_search_never_builds_the_graph_of_cylinders(monkeypatch):
+    # the search reads the cuts and their crossings, never the rigid vertices
+    def refuse(g):
+        raise AssertionError("global_search built the graph of cylinders")
+
+    monkeypatch.setattr(jsj, "graph_of_cylinders", refuse)
+    decided = set()
+    for name, f in fixtures().items():
+        if f.expect_search is not None:
+            assert global_search(f.graph).decision == f.expect_search, name
+            decided.add(name)
+    assert {"glued_wheels", "glued_trees_triple", "c8"} <= decided
 
 
 def test_global_search_preconditions_refused():

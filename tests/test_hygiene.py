@@ -2,8 +2,9 @@
 
 Every import binds a name that the module uses (``__init__.py`` re-exports
 are exempt), no module imports a private (underscore) name from another,
-and every private module-level function or class is referenced somewhere in
-the package.
+every private module-level function or class is referenced somewhere in
+the package, and every defaulted parameter of a package function is passed
+by some call in the repository.
 """
 
 import ast
@@ -95,3 +96,76 @@ def test_no_unreferenced_private_definitions(name):
     referenced = set().union(*(_referenced(_tree(m)) for m in MODULES))
     dead = sorted(d for d in _private_definitions(_tree(name)) if d not in referenced)
     assert not dead, f"{name} defines private names nothing references: {dead}"
+
+
+# Every call in these trees counts as a caller of the package.
+CALLER_DIRS = ("src", "tests", "bench", "scripts")
+
+
+def _defaulted_parameters():
+    """(module, function, parameter, position) for every defaulted parameter
+    of a function or method in the package; ``position`` is the index among
+    the positional arguments of a call (``self``/``cls`` not counted), or
+    None for a keyword-only parameter.  A method is called by its name, an
+    ``__init__`` by its class name."""
+
+    def visit(node, name, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, name, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from params(child, name, owner)
+                yield from visit(child, name, None)
+            else:
+                yield from visit(child, name, owner)
+
+    def params(fn, name, owner):
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+        bound = owner is not None and not static
+        called = owner.name if bound and fn.name == "__init__" else fn.name
+        positional = fn.args.posonlyargs + fn.args.args
+        first_default = len(positional) - len(fn.args.defaults)
+        for i, arg in enumerate(positional[first_default:], first_default):
+            yield name, called, arg.arg, i - bound
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield name, called, arg.arg, None
+
+    for name in MODULES:
+        yield from visit(_tree(name), name, None)
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    root = SRC.parent.parent
+    out: dict[str, list[ast.Call]] = {}
+    for d in CALLER_DIRS:
+        for path in sorted((root / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called is not None:
+                        out.setdefault(called, []).append(node)
+    return out
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(kw.arg in (param, None) for kw in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return len(call.args) > position
+
+
+def test_every_default_is_overridden_by_some_call():
+    """A defaulted parameter that no call in the repository passes is an
+    option nobody sets: it should be a constant, or go."""
+    calls = _calls_by_name()
+    unset = sorted(
+        f"{module}:{called}({param})"
+        for module, called, param, position in _defaulted_parameters()
+        if not any(_passes(c, param, position) for c in calls.get(called, ()))
+    )
+    assert not unset, f"defaulted parameters no call passes: {unset}"

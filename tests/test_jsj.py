@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visualraag.dl import Lambda, verify_fidl
+from visualraag.dl import Lambda, precondition_failures, verify_fidl
 from visualraag.dismantle import relative_search
-from visualraag.graphs import bits, bit_list, iter_bits
+from visualraag.graphs import bits, bit_list, has_separating_clique, iter_bits
 from visualraag.jsj import (
     Cut,
     assemble_lambdas,
@@ -17,13 +17,14 @@ from visualraag.jsj import (
     split_at_cut,
     uncrossed_cuts,
 )
-from visualraag.generators import bicycle_wheel, fixtures, glue_at_lambda_edge
+from visualraag.generators import bicycle_wheel, fixtures, glue_at_lambda_edge, random_coning
 
 from conftest import (
     complete_bipartite,
     cycle_graph,
     random_triangle_free,
     square,
+    sweep_graphs,
     wheel_glued_to_square,
 )
 
@@ -293,3 +294,38 @@ def test_goc_json_and_dot():
     assert len(data["cylinders"]) == 1
     dot = goc.to_dot()
     assert "ellipse" in dot and "box" in dot
+
+
+def _glued_instances(count: int):
+    """The gluings of acceptance criterion 8: two random conings glued along
+    a witness edge each, kept when they pass the search preconditions."""
+    rng = random.Random(0xA55E)
+    out = []
+    while len(out) < count:
+        s1 = random_coning(seed=rng.randrange(2**32), steps=rng.randint(1, 7))
+        s2 = random_coning(seed=rng.randrange(2**32), steps=rng.randint(1, 7))
+        e1 = s1.lam.edges[rng.randrange(len(s1.lam.edges))]
+        e2 = s2.lam.edges[rng.randrange(len(s2.lam.edges))]
+        g, _pair = glue_at_lambda_edge((s1.graph, s1.lam), (s2.graph, s2.lam), e1, e2)
+        if not precondition_failures(g):
+            out.append(g)
+    return out
+
+
+def test_part_preconditions_reduce_to_separating_clique_on_masks():
+    # the search judges a part by has_separating_clique on its vertex mask:
+    # the part holds the cut's non-adjacent pair and is an induced subgraph
+    # of a triangle-free graph, so no other precondition can fail
+    checked = 0
+    for g in sweep_graphs() + _glued_instances(100):
+        cuts = find_cuts(g)
+        for cut in uncrossed_cuts(g, cuts):
+            for comp in cut.components:
+                if comp.bit_count() < 2:
+                    continue
+                part = comp | cut.mask
+                assert has_separating_clique(g, part) == bool(
+                    precondition_failures(g.subgraph(part))
+                ), (g.names, cut.vertices, comp)
+                checked += 1
+    assert checked > 100
