@@ -53,13 +53,7 @@ class CliError(Exception):
 
 def load_graph(source: str) -> Graph:
     """Read a graph from a file path or '-' (stdin); JSON or graph6 by content."""
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        path = Path(source)
-        if not path.exists():
-            raise CliError(f"no such file: {source}")
-        text = path.read_text()
+    text = sys.stdin.read() if source == "-" else Path(source).read_text()
     return parse_graph_text(text, source)
 
 
@@ -134,19 +128,18 @@ def cmd_search(args) -> int:
         except (ValueError, KeyError) as exc:
             raise CliError(f"bad --require {spec!r}: {exc}") from exc
     engine = args.engine
-    budget = None if args.timeout is None else args.timeout
     results: dict[str, Verdict] = {}
     if engine in ("dismantle", "both"):
         if required:
             results["dismantle"] = relative_search(
-                g, required, budget=Budget.from_seconds(budget)
+                g, required, budget=Budget.from_seconds(args.timeout)
             )
         else:
-            results["dismantle"] = global_search(g, budget=Budget.from_seconds(budget))
+            results["dismantle"] = global_search(g, budget=Budget.from_seconds(args.timeout))
     if engine in ("oracle", "both"):
         if required:
             raise CliError("--require is only supported by the dismantling engine")
-        results["oracle"] = naive_search(g, OracleLimits(seconds=budget))
+        results["oracle"] = naive_search(g, OracleLimits(seconds=args.timeout))
     if engine == "both":
         d, o = results["dismantle"], results["oracle"]
         payload = {
@@ -219,11 +212,14 @@ def cmd_gen(args) -> int:
         g, lam = seq.graph, seq.lam
     elif name == "tree-family":
         spec = json.loads(args.tree or "{}")
-        t = generators.LabelledTree(
-            tuple(spec["vertices"]),
-            tuple((a, b) for a, b in spec["edges"]),
-            {k: int(v) for k, v in spec["labels"].items()},
-        )
+        try:
+            t = generators.LabelledTree(
+                tuple(spec["vertices"]),
+                tuple((a, b) for a, b in spec["edges"]),
+                {k: int(v) for k, v in spec["labels"].items()},
+            )
+        except (KeyError, TypeError) as exc:
+            raise CliError(f"--tree needs an object with vertices, edges, labels: {exc!r}") from exc
         g, lam = generators.tree_family(t), None
     elif name == "fixture":
         fx = generators.fixtures()
@@ -409,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

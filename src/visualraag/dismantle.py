@@ -12,8 +12,8 @@ One backtracking core, ``_dismantle``, with one failure memo, serves both
 first sequence whose steps pass the step condition, checked as each step is
 made); it derives each state's admissibility incrementally from its parent's.
 ``relative_search`` runs the gate sequence and that search for one graph
-with required witness edges; ``global_search`` adds the crossed-cut gate
-and divide-and-conquer over uncrossed cuts.  Every "yes" is verified by
+with required witness edges; ``global_search`` adds divide-and-conquer over
+the cuts, which after the gates never cross.  Every "yes" is verified by
 ``verify_fidl`` on the graph it answers for.
 """
 
@@ -622,17 +622,18 @@ def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
     """Decide witness existence for a whole graph.
 
     Pipeline: preconditions; square base case; strongly-CFS and forbidden
-    cycle gates; crossed-cut (hanging) gate, from the cuts and their
-    crossings alone; then divide and conquer over uncrossed cuts, solving
-    each piece relative to the cut pairs it contains and assembling the
-    partial witnesses; common neighbors of a cut pair are cylinder vertices,
-    covered at assembly.  Splitting is the paper's decomposition, and it
-    gives the assembled witness; it is not a speed-up (whole-graph relative
-    search is often faster).  A graph with no uncrossed cut whose pieces
-    pass the preconditions is searched whole.  A "yes" is verified on ``g``
-    exactly once, here for an assembled witness and in ``relative_search``
-    otherwise.  The timings are this function's own stages; ``search``
-    includes the nested searches.
+    cycle gates; the cuts; then divide and conquer over them, solving each
+    piece relative to the cut pairs it contains and assembling the partial
+    witnesses; common neighbors of a cut pair are cylinder vertices, covered
+    at assembly.  Splitting is the paper's decomposition, and it gives the
+    assembled witness; it is not a speed-up (whole-graph relative search is
+    often faster).  A "yes" is verified on ``g`` exactly once, here for an
+    assembled witness and in ``relative_search`` otherwise.  The timings are
+    this function's own stages; ``search`` includes the nested searches.
+
+    No crossed-cut gate is needed.  Lemma (README, "Why the split needs no
+    guards"): a triangle-free graph on five or more vertices with no
+    separating clique that is strongly CFS has no two crossing cuts.
     """
     timings: dict = {}
     t0 = time.perf_counter()
@@ -651,15 +652,9 @@ def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
         return gated
     t0 = time.perf_counter()
     cuts = jsj.find_cuts(g)
-    crossing = jsj.crossing_pair(g, cuts)
     t0 = record_stage(timings, "jsj", t0)
-    if crossing is not None:
-        k1, k2 = crossing
-        return Verdict("no", "jsj", reason="CrossingCuts",
-                       detail={"cuts": [k1.names(g), k2.names(g)]},
-                       timings_ms=timings)
     try:
-        verdict = _solve_with_splitting(g, cuts, budget)
+        verdict = _solve_with_splitting(g, cuts, budget, ())
     except BudgetExceeded:
         return Verdict("budget_exceeded", "dismantle", reason="BudgetExceeded",
                        timings_ms=timings)
@@ -677,32 +672,41 @@ def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
 
 def _solve_with_splitting(
     g: Graph,
-    cuts: Sequence[jsj.Cut] | None,
+    cuts: Sequence[jsj.Cut],
     budget: Budget | None,
-    required: tuple[tuple[int, int], ...] = (),
+    required: tuple[tuple[int, int], ...],
 ) -> Verdict:
-    """Recursive split/solve/assemble; falls back to relative search whenever
-    no uncrossed cut gives a usable decomposition.  Only the parts of
-    components with two or more vertices are solved; common neighbors of a
-    cut pair are covered by ``jsj.assemble_lambdas``.  An assembled "yes"
-    carries no report: the caller verifies the final witness once."""
-    if cuts is None:
-        cuts = jsj.find_cuts(g)
-    split = _pick_split(g, cuts, required)
-    if split is None:
+    """Recursive split/solve/assemble at the first cut of ``cuts`` that tears
+    no required pair (each lies inside one part, a component plus the cut
+    vertices); relative search on ``g`` when every cut tears one.
+
+    The parts solved are those of components with two or more vertices,
+    each relative to the cut's pair; a single-vertex component is a common
+    neighbor of the cut pair, a cylinder vertex that ``jsj.assemble_lambdas``
+    covers.  Lemma (README, "Why the split needs no guards"): every such
+    part of a graph that passes the preconditions and both gates passes
+    them too, so no part is checked for a separating clique and, by the
+    lemma in ``global_search``, no part's cuts cross.  An assembled "yes"
+    carries no report: the caller verifies the final witness once.
+    """
+    for cut in cuts:
+        parts = [comp | cut.mask for comp in cut.components]
+        if all(any(m >> p & 1 and m >> q & 1 for m in parts) for p, q in required):
+            break
+    else:
         return relative_search(g, required, budget)
-    cut, parts = split
+    a, b = cut.pair
     solved: list[tuple[Graph, Lambda]] = []
-    for part in parts:
+    for comp, mask in zip(cut.components, parts):
+        if comp.bit_count() == 1:
+            continue
+        part = g.subgraph(mask)
         part_required = tuple(
             (part.vertex_id(g.names[p]), part.vertex_id(g.names[q]))
             for p, q in required
-            if part.try_vertex_id(g.names[p]) is not None
-            and part.try_vertex_id(g.names[q]) is not None
-        )
-        a, b = cut.pair
-        part_required += ((part.vertex_id(g.names[a]), part.vertex_id(g.names[b])),)
-        sub = _solve_with_splitting(part, None, budget, part_required)
+            if mask >> p & 1 and mask >> q & 1
+        ) + ((part.vertex_id(g.names[a]), part.vertex_id(g.names[b])),)
+        sub = _solve_with_splitting(part, jsj.find_cuts(part), budget, part_required)
         if sub.decision == "budget_exceeded":
             return sub
         if not sub.is_yes:
@@ -716,28 +720,3 @@ def _solve_with_splitting(
         "parts": [",".join(sorted(part.names)) for part, _ in solved],
     }
     return Verdict("yes", "assemble", detail=detail, lam=jsj.assemble_lambdas(g, cut, solved))
-
-
-def _pick_split(
-    g: Graph, cuts: Sequence[jsj.Cut], required: tuple[tuple[int, int], ...]
-) -> tuple[jsj.Cut, list[Graph]] | None:
-    """The first usable uncrossed cut with the parts to solve at it, or None.
-
-    A part is a component plus the cut vertices.  The parts to solve are
-    those of components with two or more vertices; a single-vertex
-    component is a common neighbor of the cut pair, a cylinder vertex that
-    assembly covers (its bare 2-path is never solved).  Usable means no
-    required pair is torn (each lies inside some part) and no part to solve
-    has a separating clique.  The other search preconditions hold for every
-    part: it holds the cut's non-adjacent pair, and it is an induced
-    subgraph of a triangle-free graph.  Parts are judged as vertex masks of
-    ``g``; only the returned cut's parts to solve are built as graphs.
-    """
-    for cut in jsj.uncrossed_cuts(g, cuts):
-        parts = [comp | cut.mask for comp in cut.components]
-        if not all(any(m >> p & 1 and m >> q & 1 for m in parts) for p, q in required):
-            continue
-        solve = [m for comp, m in zip(cut.components, parts) if comp.bit_count() > 1]
-        if not any(has_separating_clique(g, m) for m in solve):
-            return cut, [g.subgraph(m) for m in solve]
-    return None

@@ -139,9 +139,6 @@ class Graph:
     def vertex_id(self, name: str) -> int:
         return self._index[name]
 
-    def try_vertex_id(self, name: str) -> int | None:
-        return self._index.get(name)
-
     def has_edge(self, u: int, w: int) -> bool:
         return bool(self.adj[u] >> w & 1)
 

@@ -233,3 +233,17 @@ def test_help_exits_0(capsys):
         main(["search", "--help"])
     assert exc.value.code == 0
     assert "--engine" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "{graph}", "{tmp}/missing.json"),
+    ("batch", "{tmp}/missing.g6"),
+    ("gen", "tree-family", "--tree", "{{}}"),
+    ("gen", "tree-family", "--tree", "[]"),
+])
+def test_bad_input_is_an_error_line_not_a_traceback(capsys, wheel_files, tmp_path, argv):
+    gpath, _ = wheel_files
+    code = main([a.format(graph=gpath, tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err

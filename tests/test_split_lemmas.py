@@ -1,0 +1,140 @@
+"""The two lemmas that let ``global_search`` split with no guards, checked on
+seeded corpora, and the "no" branches of the split that stay reachable.
+
+L1: a triangle-free graph on five or more vertices with no separating clique
+that is strongly CFS has no two crossing cuts.  L2: every part the split
+solves (a component of two or more vertices plus the cut vertices) of a
+graph that passes the preconditions and both gates passes them too.  The
+proofs are in the README, "Why the split needs no guards".
+"""
+
+import random
+
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from visualraag import jsj
+from visualraag.dismantle import forbidden_cycle_check, global_search, relative_search
+from visualraag.dl import precondition_failures
+from visualraag.generators import fixtures, random_coning
+from visualraag.graphs import from_graph6
+from visualraag.jsj import crossing_pair, find_cuts
+from visualraag.oracle import naive_search
+from visualraag.squares import CfsStatus, cfs_status, is_strongly_cfs
+
+from conftest import cycle_graph, random_triangle_free, sweep_graphs
+from test_acceptance import _random_qualifying
+from test_jsj import _glued_instances
+
+
+def _passes_gates(g) -> bool:
+    return (not precondition_failures(g) and is_strongly_cfs(g)
+            and forbidden_cycle_check(g) is None)
+
+
+def _l1_corpus():
+    """The sweep, seeded random graphs on 9-14 vertices from both recipes,
+    and coning graphs of 20-32 steps; only those passing the preconditions."""
+    graphs = sweep_graphs()
+    rng = random.Random(11)
+    for _ in range(3000):
+        graphs.append(random_triangle_free(rng, rng.randint(9, 14)))
+    rng = random.Random(0x5EED)
+    for _ in range(600):
+        g = _random_qualifying(rng, rng.randint(9, 14))
+        if g is not None:
+            graphs.append(g)
+    graphs += [random_coning(seed=s, steps=k).graph for s in range(101, 105) for k in range(20, 33)]
+    return [g for g in graphs if not precondition_failures(g)]
+
+
+def test_l1_strongly_cfs_graphs_have_no_crossing_cuts():
+    strongly = crossed = 0
+    for g in _l1_corpus():
+        crossing = crossing_pair(g, find_cuts(g))
+        if g.n >= 5 and is_strongly_cfs(g):
+            assert crossing is None, (g.names, g.adj, [k.vertices for k in crossing])
+            strongly += 1
+        elif crossing is not None:
+            crossed += 1
+    # not vacuous: the same corpus has crossings once strong CFS fails
+    assert strongly > 750 and crossed > 50
+    c8 = cycle_graph(8)
+    assert not precondition_failures(c8) and not is_strongly_cfs(c8)
+    assert crossing_pair(c8, find_cuts(c8)) is not None
+
+
+def _check_parts(g, seen_cuts: dict):
+    """Every part of every cut of ``g``, and recursively of those parts,
+    passes the preconditions and both gates and has no crossing cuts."""
+    done = set()
+    stack = [(g, find_cuts(g))]
+    while stack:
+        h, cuts = stack.pop()
+        for cut in cuts:
+            seen_cuts["pair" if cut.is_pair else "triple"] += 1
+            for comp in cut.components:
+                if comp.bit_count() == 1:
+                    continue
+                mask = comp | cut.mask
+                key = frozenset(h.names[v] for v in range(h.n) if mask >> v & 1)
+                if key in done:
+                    continue
+                done.add(key)
+                part = h.subgraph(mask)
+                part_cuts = find_cuts(part)
+                where = (g.names, g.adj, sorted(key))
+                assert part.n >= 5, where
+                assert not precondition_failures(part), where
+                assert cfs_status(part).status is CfsStatus.STRONGLY_CFS, where
+                assert forbidden_cycle_check(part) is None, where
+                assert crossing_pair(part, part_cuts) is None, where
+                stack.append((part, part_cuts))
+
+
+def test_l2_split_parts_inherit_the_preconditions_and_gates():
+    graphs = sweep_graphs() + _glued_instances(100)
+    graphs += [random_coning(seed=s, steps=k).graph for s in range(101, 105) for k in range(8, 21)]
+    seen_cuts = {"pair": 0, "triple": 0}
+    for g in graphs:
+        if _passes_gates(g):
+            _check_parts(g, seen_cuts)
+    assert seen_cuts["pair"] > 1000 and seen_cuts["triple"] > 100
+
+
+def test_search_never_asks_whether_cuts_cross(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("global_search tested cuts for crossing")
+
+    monkeypatch.setattr(jsj, "crossing_pair", refuse)
+    monkeypatch.setattr(jsj, "uncrossed_cuts", refuse)
+    monkeypatch.setattr(jsj, "crosses", refuse)
+    stages = set()
+    for g in [f.graph for f in fixtures().values()] + _glued_instances(20):
+        stages.add(global_search(g).stage)
+    assert "assemble" in stages
+
+
+def test_rigid_part_failed_is_reachable():
+    # the 12,447th graph drawn by random_triangle_free(rng, rng.randint(8, 14))
+    # with rng = random.Random(11)
+    g = from_graph6("IM_hoBFpO")
+    assert g.n == 10 and _passes_gates(g)
+    verdict = global_search(g)
+    assert (verdict.decision, verdict.stage, verdict.reason) == ("no", "split", "RigidPartFailed")
+    assert verdict.detail["sub_reason"] == "NoDaggerSequence"
+    oracle = naive_search(g)
+    assert oracle.decision == "no" and oracle.detail["tested"] == 15_625
+    assert relative_search(g).decision == "no"
+
+
+@seed(20261018)
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_split_and_whole_graph_searches_agree(draw_seed):
+    # a disagreement would contradict the paper's splitting theorem
+    rng = random.Random(draw_seed)
+    g = random_triangle_free(rng, rng.randint(5, 11))
+    while not _passes_gates(g):
+        g = random_triangle_free(rng, rng.randint(5, 11))
+    assert global_search(g).decision == relative_search(g).decision, (g.names, g.adj)
