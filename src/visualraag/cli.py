@@ -74,7 +74,7 @@ def load_lambda(g: Graph, source: str) -> Lambda:
     text = sys.stdin.read() if source == "-" else Path(source).read_text()
     try:
         return Lambda.from_json_dict(g, json.loads(text))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CliError(f"{source}: cannot parse witness: {exc}") from exc
 
 

@@ -622,14 +622,15 @@ def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
     """Decide witness existence for a whole graph.
 
     Pipeline: preconditions; square base case; strongly-CFS and forbidden
-    cycle gates; the cuts; then divide and conquer over them, solving each
-    piece relative to the cut pairs it contains and assembling the partial
-    witnesses; common neighbors of a cut pair are cylinder vertices, covered
-    at assembly.  Splitting is the paper's decomposition, and it gives the
-    assembled witness; it is not a speed-up (whole-graph relative search is
-    often faster).  A "yes" is verified on ``g`` exactly once, here for an
-    assembled witness and in ``relative_search`` otherwise.  The timings are
-    this function's own stages; ``search`` includes the nested searches.
+    cycle gates; the cuts, found once; then divide and conquer over them,
+    solving each piece relative to the cut pairs it contains and assembling
+    the partial witnesses; common neighbors of a cut pair are cylinder
+    vertices, covered at assembly.  Splitting, the paper's decomposition,
+    gives the assembled witness; whole-graph relative search is still
+    faster on coning graphs.  A "yes" is verified on ``g`` exactly once,
+    here for an assembled witness and in ``relative_search`` otherwise.
+    The timings are this function's own stages; ``search`` includes the
+    nested searches.
 
     No crossed-cut gate is needed.  Lemma (README, "Why the split needs no
     guards"): a triangle-free graph on five or more vertices with no
@@ -651,10 +652,10 @@ def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
     if gated is not None:
         return gated
     t0 = time.perf_counter()
-    cuts = jsj.find_cuts(g)
+    pairs = list(dict.fromkeys(cut.pair for cut in jsj.find_cuts(g)))
     t0 = record_stage(timings, "jsj", t0)
     try:
-        verdict = _solve_with_splitting(g, cuts, budget, ())
+        verdict = _solve_with_splitting(g, g.full_mask, pairs, budget, ())
     except BudgetExceeded:
         return Verdict("budget_exceeded", "dismantle", reason="BudgetExceeded",
                        timings_ms=timings)
@@ -672,51 +673,47 @@ def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
 
 def _solve_with_splitting(
     g: Graph,
-    cuts: Sequence[jsj.Cut],
+    mask: int,
+    pairs: Sequence[tuple[int, int]],
     budget: Budget | None,
     required: tuple[tuple[int, int], ...],
 ) -> Verdict:
-    """Recursive split/solve/assemble at the first cut of ``cuts`` that tears
-    no required pair (each lies inside one part, a component plus the cut
-    vertices); relative search on ``g`` when every cut tears one.
+    """Recursive split/solve/assemble of the part ``mask`` of ``g``, in the
+    host's vertex ids, at the first cut that tears no required pair (each
+    lies inside one part, a component plus the cut vertices); relative
+    search on the part, built as a graph, when every cut tears one.  Lemma
+    (README, "Why the split needs no guards", L3): every such cut runs
+    through one of the host's cut ``pairs``, so only those are tested.
 
     The parts solved are those of components with two or more vertices,
     each relative to the cut's pair; a single-vertex component is a common
     neighbor of the cut pair, a cylinder vertex that ``jsj.assemble_lambdas``
-    covers.  Lemma (README, "Why the split needs no guards"): every such
-    part of a graph that passes the preconditions and both gates passes
-    them too, so no part is checked for a separating clique and, by the
-    lemma in ``global_search``, no part's cuts cross.  An assembled "yes"
+    covers.  Lemma (README, L2): such a part of a graph that passes the
+    preconditions and both gates passes them too, so no part is checked for
+    a separating clique, and by L1 no part's cuts cross.  An assembled "yes"
     carries no report: the caller verifies the final witness once.
     """
-    for cut in cuts:
+    for cut in jsj.cuts_through(g, mask, pairs):
         parts = [comp | cut.mask for comp in cut.components]
         if all(any(m >> p & 1 and m >> q & 1 for m in parts) for p, q in required):
             break
     else:
-        return relative_search(g, required, budget)
-    a, b = cut.pair
-    solved: list[tuple[Graph, Lambda]] = []
-    for comp, mask in zip(cut.components, parts):
+        ids = {v: i for i, v in enumerate(iter_bits(mask))}
+        return relative_search(g.subgraph(mask), [(ids[p], ids[q]) for p, q in required], budget)
+    solved: list[tuple[str, Lambda]] = []
+    for comp, part in zip(cut.components, parts):
         if comp.bit_count() == 1:
             continue
-        part = g.subgraph(mask)
-        part_required = tuple(
-            (part.vertex_id(g.names[p]), part.vertex_id(g.names[q]))
-            for p, q in required
-            if mask >> p & 1 and mask >> q & 1
-        ) + ((part.vertex_id(g.names[a]), part.vertex_id(g.names[b])),)
-        sub = _solve_with_splitting(part, jsj.find_cuts(part), budget, part_required)
+        inside = tuple((p, q) for p, q in required if part >> p & 1 and part >> q & 1)
+        sub = _solve_with_splitting(g, part, pairs, budget, inside + (cut.pair,))
         if sub.decision == "budget_exceeded":
             return sub
+        pid = ",".join(sorted(g.names[v] for v in iter_bits(part)))
         if not sub.is_yes:
-            pid = ",".join(sorted(part.names))
             return Verdict("no", "split", reason="RigidPartFailed",
                            detail={"part": pid, "sub_reason": sub.reason or sub.decision,
                                    "sub_detail": sub.detail})
-        solved.append((part, sub.lam))
-    detail = {
-        "assembled_at": [g.names[v] for v in cut.vertices],
-        "parts": [",".join(sorted(part.names)) for part, _ in solved],
-    }
-    return Verdict("yes", "assemble", detail=detail, lam=jsj.assemble_lambdas(g, cut, solved))
+        solved.append((pid, sub.lam))
+    detail = {"assembled_at": [g.names[v] for v in cut.vertices], "parts": [p for p, _ in solved]}
+    lam = jsj.assemble_lambdas(g, cut, [(part_lam.host, part_lam) for _, part_lam in solved])
+    return Verdict("yes", "assemble", detail=detail, lam=lam)

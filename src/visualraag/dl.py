@@ -74,7 +74,10 @@ class Lambda:
 
     @classmethod
     def from_json_dict(cls, host: Graph, data: dict) -> "Lambda":
-        return cls.from_names(host, data.get("red", []), data.get("blue", []))
+        try:
+            return cls.from_names(host, data.get("red", []), data.get("blue", []))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"malformed witness JSON: {exc}") from exc
 
     @property
     def red_support(self) -> int:

@@ -211,10 +211,6 @@ def link(g: Graph, v: int) -> int:
     return g.adj[v]
 
 
-def star(g: Graph, v: int) -> int:
-    return link(g, v) | 1 << v
-
-
 def is_triangle_free(g: Graph) -> bool:
     for u, w in g.edges():
         if g.adj[u] & g.adj[w]:

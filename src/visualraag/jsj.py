@@ -2,18 +2,19 @@
 
 A cut is either a separating pair of non-adjacent vertices or a 2-path cut
 triple (a common neighbor c of a non-separating pair {a,b} such that removing
-all three disconnects).  Crossing is defined within kinds only; uncrossed
-cuts give the cylinder vertices of the graph-of-cylinders decomposition,
-which is built for the ``jsj`` command.  The search reads only the cuts: on
-a graph that passes its gates no two of them cross (README, "Why the split
-needs no guards"), so it splits at any of them.
+all three disconnects); ``cuts_through`` tests given pairs inside a vertex
+mask, ``find_cuts`` every pair.  Crossing is defined within kinds only;
+uncrossed cuts give the cylinder vertices of the graph-of-cylinders
+decomposition, built for the ``jsj`` command.  The search reads only the
+cuts: after its gates no two cross, and a part's usable cuts run through the
+host's cut pairs (README, "Why the split needs no guards").
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .dl import Lambda
 from .graphs import Graph, bit_list, bits, iter_bits
@@ -49,27 +50,30 @@ class Cut:
                 return comp
         return None
 
-    def names(self, g: Graph) -> list[str]:
-        return [g.names[v] for v in self.vertices]
-
 
 def find_cuts(g: Graph) -> list[Cut]:
-    """All cut pairs and 2-path cut triples, each with its components.
+    """All cut pairs and 2-path cut triples, each with its components: the
+    cuts through every pair.  Assumes an incomplete, triangle-free host with
+    no separating clique (the search pipeline validates this upstream)."""
+    return cuts_through(g, g.full_mask, itertools.combinations(range(g.n), 2))
 
-    Assumes the host is incomplete, triangle-free, and has no separating
-    clique (the search pipeline validates this upstream).  Every valid
-    midpoint of the same pair yields its own triple.
+
+def cuts_through(g: Graph, mask: int, pairs: Iterable[tuple[int, int]]) -> list[Cut]:
+    """The cuts of the induced subgraph on ``mask`` through ``pairs``, in
+    order: a non-adjacent pair inside ``mask`` gives its pair cut when it
+    separates ``mask``, else one triple per common neighbor in ``mask`` whose
+    removal with the pair separates it.  Components are taken inside ``mask``.
     """
     cuts: list[Cut] = []
-    for a, b in itertools.combinations(range(g.n), 2):
-        if g.adj[a] >> b & 1:
+    for a, b in pairs:
+        if g.adj[a] >> b & 1 or not (mask >> a & 1 and mask >> b & 1):
             continue
-        rest = g.full_mask & ~(1 << a) & ~(1 << b)
+        rest = mask & ~(1 << a) & ~(1 << b)
         comps = g.components(rest)
         if len(comps) > 1:
             cuts.append(Cut((a, b), tuple(comps)))
             continue
-        for c in iter_bits(g.adj[a] & g.adj[b]):
+        for c in iter_bits(g.adj[a] & g.adj[b] & mask):
             comps3 = g.components(rest & ~(1 << c))
             if len(comps3) > 1:
                 cuts.append(Cut((a, b, c), tuple(comps3)))

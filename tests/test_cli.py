@@ -247,3 +247,14 @@ def test_bad_input_is_an_error_line_not_a_traceback(capsys, wheel_files, tmp_pat
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("witness", ["[]", '{"red": 5}'], ids=["list", "red_int"])
+def test_witness_of_the_wrong_shape_is_an_error_line(capsys, wheel_files, tmp_path, witness):
+    gpath, _ = wheel_files
+    lpath = tmp_path / "bad_lambda.json"
+    lpath.write_text(witness)
+    code = main(["verify", str(gpath), str(lpath)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err

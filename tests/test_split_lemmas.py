@@ -4,8 +4,10 @@ seeded corpora, and the "no" branches of the split that stay reachable.
 L1: a triangle-free graph on five or more vertices with no separating clique
 that is strongly CFS has no two crossing cuts.  L2: every part the split
 solves (a component of two or more vertices plus the cut vertices) of a
-graph that passes the preconditions and both gates passes them too.  The
-proofs are in the README, "Why the split needs no guards".
+graph that passes the preconditions and both gates passes them too.  L3:
+every cut of a part that tears no required pair runs through the pair of a
+host cut, so the split tests only the host's cut pairs.  The proofs are in
+the README, "Why the split needs no guards".
 """
 
 import random
@@ -17,8 +19,8 @@ from visualraag import jsj
 from visualraag.dismantle import forbidden_cycle_check, global_search, relative_search
 from visualraag.dl import precondition_failures
 from visualraag.generators import fixtures, random_coning
-from visualraag.graphs import from_graph6
-from visualraag.jsj import crossing_pair, find_cuts
+from visualraag.graphs import bit_list, from_graph6
+from visualraag.jsj import Cut, crossing_pair, cuts_through, find_cuts
 from visualraag.oracle import naive_search
 from visualraag.squares import CfsStatus, cfs_status, is_strongly_cfs
 
@@ -100,6 +102,74 @@ def test_l2_split_parts_inherit_the_preconditions_and_gates():
         if _passes_gates(g):
             _check_parts(g, seen_cuts)
     assert seen_cuts["pair"] > 1000 and seen_cuts["triple"] > 100
+
+
+def _usable(cuts, required):
+    """The cuts that tear no required pair: each lies inside one part."""
+    out = []
+    for cut in cuts:
+        parts = [comp | cut.mask for comp in cut.components]
+        if all(any(m >> p & 1 and m >> q & 1 for m in parts) for p, q in required):
+            out.append(cut)
+    return out
+
+
+def _to_host(cut, verts):
+    """A cut of ``g.subgraph(mask)`` in the host's vertex ids."""
+    remap = lambda m: sum(1 << verts[v] for v in range(len(verts)) if m >> v & 1)
+    return Cut(tuple(verts[v] for v in cut.vertices), tuple(map(remap, cut.components)))
+
+
+def _walk_split(g, seen: dict):
+    """Follow the split recursion of ``global_search`` on ``g``, comparing at
+    every level the usable cuts of the part with those through the host's
+    cut pairs; counts the usable triples around an enclosing pair cut."""
+    host_cuts = find_cuts(g)
+    pairs = list(dict.fromkeys(k.pair for k in host_cuts))
+    host_pair_cuts = {k.pair for k in host_cuts if k.is_pair}
+    stack = [(g.full_mask, ())]
+    while stack:
+        mask, required = stack.pop()
+        verts = bit_list(mask)
+        whole = [_to_host(k, verts) for k in find_cuts(g.subgraph(mask))]
+        usable = _usable(cuts_through(g, mask, pairs), required)
+        assert _usable(whole, required) == usable, (g.names, g.adj, mask, required)
+        seen["levels"] += 1
+        seen["triples"] += sum(
+            not k.is_pair and k.pair in required and k.pair in host_pair_cuts for k in usable)
+        if usable:
+            cut = usable[0]
+            for comp in cut.components:
+                if comp.bit_count() > 1:
+                    part = comp | cut.mask
+                    inside = tuple((p, q) for p, q in required if part >> p & 1 and part >> q & 1)
+                    stack.append((part, inside + (cut.pair,)))
+
+
+def test_l3_usable_cuts_of_a_part_run_through_host_cut_pairs():
+    graphs = sweep_graphs() + _glued_instances(100)
+    graphs += [random_coning(seed=s, steps=k).graph for s in range(101, 105) for k in range(8, 21)]
+    seen = {"levels": 0, "triples": 0}
+    for g in graphs:
+        if g.n >= 5 and _passes_gates(g):
+            _walk_split(g, seen)
+    # not vacuous: some level splits at an a-c-b triple whose pair {a,b} is a
+    # host pair cut, a cut the host does not list
+    assert seen["triples"] >= 1 and seen["levels"] > 500, seen
+
+
+def test_one_cut_search_per_decision(monkeypatch):
+    calls = []
+    monkeypatch.setattr(jsj, "find_cuts", lambda g: calls.append(g) or find_cuts(g))
+    graphs = [f.graph for f in fixtures().values()] + _glued_instances(20)
+    graphs += [random_coning(seed=s, steps=k).graph for s in (101, 102) for k in range(8, 33, 4)]
+    stages = set()
+    for g in graphs:
+        calls.clear()
+        stages.add(global_search(g).stage)
+        gated = g.n >= 5 and _passes_gates(g)
+        assert len(calls) == (1 if gated else 0), (g.names, g.adj, len(calls))
+    assert "assemble" in stages
 
 
 def test_search_never_asks_whether_cuts_cross(monkeypatch):
