@@ -13,8 +13,9 @@ first sequence whose steps pass the step condition, checked as each step is
 made); it derives each state's admissibility incrementally from its parent's.
 ``relative_search`` runs the gate sequence and that search for one graph
 with required witness edges; ``global_search`` adds divide-and-conquer over
-the cuts, which after the gates never cross.  Every "yes" is verified by
-``verify_fidl`` on the graph it answers for.
+the cuts, which after the gates never cross.  ``check_dagger`` fixes the
+dominators of every witness, and every "yes" goes through ``dl.verified``
+on the graph it answers for.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .dl import (
     Lambda,
     commuting_graph,
     precondition_failures,
-    verify_fidl,
+    verified,
 )
 from .graphs import (
     Graph,
@@ -54,9 +55,10 @@ class BudgetExceeded(Exception):
     """Raised internally when a search deadline or size budget is hit."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Budget:
-    """Soft wall-clock deadline shared by the search loops."""
+    """Soft wall-clock deadline shared by the search loops; ``Budget()`` has
+    none, and is every search's default."""
 
     deadline: float | None = None  # absolute time.monotonic() value
 
@@ -76,7 +78,8 @@ class Budget:
 class DismantlingStep:
     """One coning layer: x joined to exactly ``cone`` (its link at removal
     time); ``candidates`` are the vertices of the lower stratum whose links
-    contain the cone set; ``chosen`` is the dominating vertex once fixed."""
+    contain the cone set; ``chosen`` is the dominating vertex once
+    ``check_dagger`` fixes it."""
 
     x: int
     cone: int
@@ -161,6 +164,12 @@ class Verdict:
     sequence: DismantlingSequence | None = None
     report: DLReport | None = None
     timings_ms: dict = field(default_factory=dict)
+
+    @classmethod
+    def refusal(cls, fails: list[str], timings: dict) -> "Verdict":
+        """The verdict on a graph that fails the preconditions."""
+        return cls("refused", "precondition", reason="PreconditionFailed",
+                   detail={"failures": fails}, timings_ms=timings)
 
     @property
     def is_yes(self) -> bool:
@@ -256,15 +265,15 @@ def _state_admissible(g: Graph, rest: int, through: int | None, squares: list[Sq
     return not has_separating_clique(g, rest, through) and is_strongly_cfs(g, rest, squares)
 
 
-# a removal: (x, cone = link of x at removal time, feasible dominators or None)
-Removal = tuple[int, int, int | None]
+# a removal: (x, cone = link of x at removal time)
+Removal = tuple[int, int]
 
 
 def _dismantle(
     g: Graph,
     required: Sequence[RequiredPair] | None,
     stats: DismantleStats,
-    budget: Budget | None,
+    budget: Budget,
     clean_root: bool,
 ) -> Iterator[list[Removal]]:
     """Backtrack over satellite removal orders reaching a square; yields the
@@ -288,13 +297,14 @@ def _dismantle(
     the root was admitted; the root has no separating clique when
     ``clean_root``, and otherwise its children are tested on every clique.
 
-    With ``required=None`` every dismantling is yielded and each removal
-    carries ``None``.  Given a list, each removal is checked as it is made:
-    its feasible set is the candidate set (vertices of the remaining graph
-    whose links contain the cone) intersected with every earlier cone that
-    contains x and meets the remaining graph, and a required pair whose
-    later endpoint is x pins the choice to its earlier endpoint.  An empty
-    set kills the branch, so every yielded list passes ``check_dagger``.
+    With ``required=None`` every dismantling is yielded.  Given a list,
+    each removal is checked as it is made: its feasible set is the candidate
+    set (vertices of the remaining graph whose links contain the cone)
+    intersected with every earlier cone that contains x and meets the
+    remaining graph, and a required pair whose later endpoint is x pins the
+    choice to its earlier endpoint.  An empty set kills the branch, so every
+    yielded list passes ``check_dagger``, which computes the same sets and
+    picks the dominators; the search keeps none.
 
     Failures are memoized.  Without a step condition the future of a state
     depends on its vertex mask alone.  With one, it depends on the mask and
@@ -327,9 +337,8 @@ def _dismantle(
     def descend(
         mask: int, removed: list[Removal], squares: list[Square], clean: bool
     ) -> Iterator[list[Removal]]:
-        if budget is not None:
-            budget.check()
-        key = (mask, frozenset(c & mask for _, c, _ in removed if c & mask)) if checked else mask
+        budget.check()
+        key = (mask, frozenset(c & mask for _, c in removed if c & mask)) if checked else mask
         if key in failed:
             return
         if mask.bit_count() == 4:
@@ -350,10 +359,9 @@ def _dismantle(
             if not admissible(rest, w if clean else None, squares):
                 continue
             lx = g.adj[x] & mask
-            feas = None
             if checked:
                 feas = bits(v for v in iter_bits(rest) if lx & ~(g.adj[v] & rest) == 0)
-                for _, cone, _ in removed:
+                for _, cone in removed:
                     # earlier removals sit in higher strata
                     if cone >> x & 1 and cone & rest:
                         feas &= cone
@@ -366,7 +374,7 @@ def _dismantle(
                 if not feas:
                     continue
             below = [sq for sq in squares if x not in sq[0] and x not in sq[1]]
-            for done in descend(rest, removed + [(x, lx, feas)], below, True):
+            for done in descend(rest, removed + [(x, lx)], below, True):
                 produced = True
                 yield done
         if not produced:
@@ -376,17 +384,16 @@ def _dismantle(
 
 
 def _sequence(g: Graph, removed: list[Removal]) -> DismantlingSequence:
-    """Steps in coning order, candidate sets computed on the lower stratum;
-    a checked removal chooses its lowest feasible dominator."""
+    """Steps in coning order, candidate sets computed on the lower stratum,
+    with no chosen dominators: ``check_dagger`` picks them."""
     base = g.full_mask
-    for x, _, _ in removed:
+    for x, _ in removed:
         base &= ~(1 << x)
     steps: list[DismantlingStep] = []
     stratum = base
-    for x, cone, feas in reversed(removed):
+    for x, cone in reversed(removed):
         cand = bits(v for v in iter_bits(stratum) if cone & ~(g.adj[v] & stratum) == 0)
-        chosen = None if feas is None else (feas & -feas).bit_length() - 1
-        steps.append(DismantlingStep(x, cone, cand, chosen))
+        steps.append(DismantlingStep(x, cone, cand))
         stratum |= 1 << x
     return DismantlingSequence(g, base, tuple(steps))
 
@@ -394,7 +401,7 @@ def _sequence(g: Graph, removed: list[Removal]) -> DismantlingSequence:
 def enumerate_dismantlings(
     g: Graph,
     stats: DismantleStats | None = None,
-    budget: Budget | None = None,
+    budget: Budget = Budget(),
 ) -> Iterator[DismantlingSequence]:
     """Every dismantling sequence of ``g``, in search order, without chosen
     dominators (see ``_dismantle``)."""
@@ -431,6 +438,8 @@ def check_dagger(
     exact.  Required pairs whose later vertex is x_{i+1} pin the choice to the
     earlier vertex; pairs inside the base square are its diagonals and hold
     automatically.  Unconstrained steps take the lowest-index feasible vertex.
+    This is the one place dominators are chosen: the searches' witnesses are
+    rebuilt from the sequence it returns.
     """
     g = seq.host
     n = len(seq.steps)
@@ -498,11 +507,6 @@ def record_stage(timings: dict, key: str, t0: float) -> float:
     return now
 
 
-def _refusal(fails: list[str], timings: dict) -> Verdict:
-    return Verdict("refused", "precondition", reason="PreconditionFailed",
-                   detail={"failures": fails}, timings_ms=timings)
-
-
 def _gate_verdict(g: Graph, timings: dict, t0: float) -> Verdict | None:
     """The strongly-CFS and forbidden-cycle gates, timed from ``t0``: the
     "no" of the first that fails, or None when both pass."""
@@ -523,17 +527,17 @@ def _gate_verdict(g: Graph, timings: dict, t0: float) -> Verdict | None:
 def relative_search(
     g: Graph,
     required: Sequence[RequiredPair | tuple[int, int]] = (),
-    budget: Budget | None = None,
+    budget: Budget = Budget(),
     stats: DismantleStats | None = None,
 ) -> Verdict:
     """Find a witness containing every required pair, or decide none exists.
 
     Gates in order: strongly-CFS, forbidden cycles, required pairs acyclic
     and class-consistent; then the first dismantling sequence whose steps
-    pass the step condition, re-checked by ``check_dagger``, with the
-    rebuilt witness verified on ``g`` before returning.  A failed search
-    runs ``enumerate_dismantlings`` once more to tell ``NoDismantling`` from
-    ``NoDaggerSequence``.
+    pass the step condition.  ``check_dagger`` picks its dominators, and
+    the witness rebuilt from them goes through ``dl.verified`` on ``g``.
+    A failed search runs ``enumerate_dismantlings`` once more to tell
+    ``NoDismantling`` from ``NoDaggerSequence``.
     """
     timings: dict = {}
     t0 = time.perf_counter()
@@ -541,7 +545,7 @@ def relative_search(
     fails = precondition_failures(g)
     t0 = record_stage(timings, "preconditions", t0)
     if fails:
-        return _refusal(fails, timings)
+        return Verdict.refusal(fails, timings)
 
     try:
         gated = _gate_verdict(g, timings, t0)
@@ -559,18 +563,13 @@ def relative_search(
         # the preconditions ruled out a separating clique of g
         removed = next(_dismantle(g, req, stats, budget, True), None)
         if removed is not None:
-            seq = _sequence(g, removed)
-            if isinstance(check_dagger(seq, req), DaggerFailure):
+            seq = check_dagger(_sequence(g, removed), req)
+            if isinstance(seq, DaggerFailure):
                 raise AssertionError(
                     "internal consistency: step-checked search produced an infeasible sequence"
                 )
             lam = reconstruct_lambda(seq)
-            report = verify_fidl(g, lam)
-            if not report.passed:
-                raise AssertionError(
-                    "internal consistency: reconstructed witness failed verification: "
-                    + report.to_json()
-                )
+            report = verified(g, lam)
             record_stage(timings, "dismantle", t0)
             return Verdict("yes", "dismantle", lam=lam, sequence=seq, report=report,
                            timings_ms=timings)
@@ -618,7 +617,7 @@ def _required_pair_obstruction(g: Graph, req: list[RequiredPair]) -> tuple[str, 
     return None
 
 
-def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
+def global_search(g: Graph, budget: Budget = Budget()) -> Verdict:
     """Decide witness existence for a whole graph.
 
     Pipeline: preconditions; square base case; strongly-CFS and forbidden
@@ -627,10 +626,11 @@ def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
     the partial witnesses; common neighbors of a cut pair are cylinder
     vertices, covered at assembly.  Splitting, the paper's decomposition,
     gives the assembled witness; whole-graph relative search is still
-    faster on coning graphs.  A "yes" is verified on ``g`` exactly once,
-    here for an assembled witness and in ``relative_search`` otherwise.
-    The timings are this function's own stages; ``search`` includes the
-    nested searches.
+    faster on coning graphs.  A "yes" goes through ``dl.verified`` on ``g``
+    exactly once, here for an assembled witness and in ``relative_search``
+    otherwise.  A deadline hit in any leaf search comes back as that
+    leaf's "budget_exceeded" verdict.  The timings are this function's own
+    stages; ``search`` includes the nested searches.
 
     No crossed-cut gate is needed.  Lemma (README, "Why the split needs no
     guards"): a triangle-free graph on five or more vertices with no
@@ -641,7 +641,7 @@ def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
     fails = precondition_failures(g)
     t0 = record_stage(timings, "preconditions", t0)
     if fails:
-        return _refusal(fails, timings)
+        return Verdict.refusal(fails, timings)
     if g.n == 4:
         # the only valid four-vertex input is the square: solved by its diagonals
         verdict = relative_search(g, (), budget)
@@ -654,19 +654,10 @@ def global_search(g: Graph, budget: Budget | None = None) -> Verdict:
     t0 = time.perf_counter()
     pairs = list(dict.fromkeys(cut.pair for cut in jsj.find_cuts(g)))
     t0 = record_stage(timings, "jsj", t0)
-    try:
-        verdict = _solve_with_splitting(g, g.full_mask, pairs, budget, ())
-    except BudgetExceeded:
-        return Verdict("budget_exceeded", "dismantle", reason="BudgetExceeded",
-                       timings_ms=timings)
+    verdict = _solve_with_splitting(g, g.full_mask, pairs, budget, ())
     report = verdict.report
     if verdict.is_yes and report is None:
-        report = verify_fidl(g, verdict.lam)
-        if not report.passed:
-            raise AssertionError(
-                "internal consistency: assembled witness failed verification: "
-                + report.to_json()
-            )
+        report = verified(g, verdict.lam)
     record_stage(timings, "search", t0)
     return replace(verdict, report=report, timings_ms=timings)
 
@@ -675,7 +666,7 @@ def _solve_with_splitting(
     g: Graph,
     mask: int,
     pairs: Sequence[tuple[int, int]],
-    budget: Budget | None,
+    budget: Budget,
     required: tuple[tuple[int, int], ...],
 ) -> Verdict:
     """Recursive split/solve/assemble of the part ``mask`` of ``g``, in the

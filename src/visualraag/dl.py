@@ -374,9 +374,7 @@ def check_r3(
     """
     if squares is None:
         squares = induced_squares(g)
-    if hulls is None:
-        assert lam is not None, "either a witness or a hull provider is required"
-        hulls = HullOracle(lam)
+    hulls = hulls or HullOracle(lam)
     for (a, b), (c, d) in squares:
         hull1 = hulls.hull(1 << a | 1 << b)
         hull2 = hulls.hull(1 << c | 1 << d)
@@ -413,9 +411,7 @@ def check_r4(
     """
     if cycles is None:
         cycles = [list(c) for c in induced_cycles(g)]
-    if hulls is None:
-        assert lam is not None, "either a witness or a hull provider is required"
-        hulls = HullOracle(lam)
+    hulls = hulls or HullOracle(lam)
     for cyc in cycles:
         if len(cyc) == 4:
             continue
@@ -468,6 +464,16 @@ def verify_fidl(g: Graph, lam: Lambda) -> DLReport:
         results.append(ConditionResult("R3", False, skipped))
         results.append(ConditionResult("R4", False, skipped))
     return DLReport(pre, tuple(results))
+
+
+def verified(g: Graph, lam: Lambda) -> DLReport:
+    """``verify_fidl``'s report on a witness a search answers "yes" with;
+    raises AssertionError when it fails, since a search built it."""
+    report = verify_fidl(g, lam)
+    if not report.passed:
+        raise AssertionError("internal consistency: witness failed verification: "
+                             + report.to_json())
+    return report
 
 
 # --------------------------------------------------------- commuting graph

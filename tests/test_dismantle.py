@@ -27,6 +27,7 @@ from conftest import (
     cycle_graph,
     random_triangle_free,
     square,
+    sweep_graphs,
     wheel_glued_to_square,
 )
 
@@ -353,6 +354,22 @@ def test_step_checked_search_matches_enumeration_plus_dagger():
                 assert verdict.reason == "NoDismantling" and not seqs, (line, req)
                 seen["NoDismantling"] += 1
     assert seen["yes"] and seen["NoDaggerSequence"]
+
+
+def test_verdict_dominators_are_check_daggers():
+    # check_dagger is the one place dominators are chosen: re-running it on
+    # the sequence of a "yes" changes nothing
+    from visualraag.dismantle import RequiredPair
+
+    yes = 0
+    for g in sweep_graphs():
+        pairs = [(p, q) for p in range(g.n) for q in range(p + 1, g.n) if not g.has_edge(p, q)]
+        for req in [[]] + [[RequiredPair(p, q)] for p, q in pairs]:
+            verdict = relative_search(g, req)
+            if verdict.is_yes:
+                assert check_dagger(verdict.sequence, req) == verdict.sequence, (g.names, req)
+                yes += 1
+    assert yes
 
 
 # ------------------------------------------------------------------ timings

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from visualraag import dl
+from visualraag.dismantle import global_search, relative_search
 from visualraag.dl import (
+    DLReport,
     Lambda,
     check_r1_r2_f1,
     check_r3,
@@ -24,6 +27,7 @@ from visualraag.generators import (
     mixed_tree_instance,
     random_coning,
 )
+from visualraag.oracle import naive_search
 
 from conftest import complete_bipartite, square
 
@@ -236,3 +240,19 @@ def test_induced_squares_canonical_once():
         key = frozenset((frozenset(d1), frozenset(d2)))
         assert key not in seen
         seen.add(key)
+
+
+ENGINE_YES = {
+    "relative_search": lambda: relative_search(fixtures()["wheel3"].graph),
+    "global_search": lambda: global_search(fixtures()["glued_wheels"].graph),
+    "naive_search": lambda: naive_search(square()),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_YES))
+def test_every_yes_goes_through_verified(monkeypatch, engine):
+    """Each engine re-checks its "yes" through ``dl.verified`` alone: a
+    failing ``dl.verify_fidl`` report turns the "yes" into an error."""
+    monkeypatch.setattr(dl, "verify_fidl", lambda g, lam: DLReport(("forced",), ()))
+    with pytest.raises(AssertionError, match="forced"):
+        ENGINE_YES[engine]()

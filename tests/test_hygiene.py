@@ -3,8 +3,8 @@
 Every import binds a name that the module uses (``__init__.py`` re-exports
 are exempt), no module imports a private (underscore) name from another,
 every private module-level function or class is referenced somewhere in
-the package, and every defaulted parameter of a package function is passed
-by some call in the repository.
+the package, every defaulted parameter of a package function is passed by
+some call in the repository, and no module holds an ``assert`` statement.
 """
 
 import ast
@@ -169,3 +169,15 @@ def test_every_default_is_overridden_by_some_call():
         if not any(_passes(c, param, position) for c in calls.get(called, ()))
     )
     assert not unset, f"defaulted parameters no call passes: {unset}"
+
+
+def test_no_assert_statements_in_src():
+    """``python -O`` strips ``assert``: a check the package relies on raises
+    explicitly instead."""
+    hits = sorted(
+        f"{name}:{node.lineno}"
+        for name in MODULES
+        for node in ast.walk(_tree(name))
+        if isinstance(node, ast.Assert)
+    )
+    assert not hits, f"assert statements in src/visualraag: {hits}"
