@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Print one digest line per family of decisions, to tell whether a change
+altered any output of the package.
+
+    python3 scripts/verdict_digest.py
+
+Each line names a family, the number of outputs in it and the sha256 of
+their JSON (timing fields left out, keys sorted), one output per line in a
+fixed order.  Run it on two checkouts: equal lines mean equal verdicts,
+witnesses, reports and enumerations on every input below.
+
+Families:
+- sweep/global: every graph of the committed <=8-vertex sweep, ``global_search``;
+- sweep/relative: the sweep with ``relative_search``, with no required pair
+  and with each single required non-edge;
+- coning: coning seeds 101-104 at 20-32 steps, ``global_search`` and
+  ``relative_search``;
+- glued: the 100 gluings of acceptance criterion 8 (seed 0xA55E),
+  ``global_search``;
+- fixtures: every fixture with ``global_search``, ``relative_search`` and
+  ``naive_search``, and ``verify_fidl`` of its witness;
+- oracle: the first 100 graphs of the benchmark's oracle corpus (seed 101),
+  ``global_search`` and ``naive_search``;
+- cli: ``visualraag check`` and ``visualraag jsj`` JSON on every fixture;
+- cycles: ``induced_cycles`` lists and CFS reports of the sweep and coning
+  graphs.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import corpora  # noqa: E402
+from visualraag import cli  # noqa: E402
+from visualraag.dismantle import global_search, relative_search  # noqa: E402
+from visualraag.dl import precondition_failures, verify_fidl  # noqa: E402
+from visualraag.generators import fixtures, glue_at_lambda_edge, random_coning  # noqa: E402
+from visualraag.graphs import from_graph6, induced_cycles, to_json  # noqa: E402
+from visualraag.oracle import naive_search  # noqa: E402
+from visualraag.squares import cfs_status  # noqa: E402
+
+
+def _verdict(v) -> dict:
+    return v.to_json_dict(include_timings=False)
+
+
+def _cfs(g) -> dict:
+    report = cfs_status(g)
+    return {"status": report.status.value, "diagonals": report.diagonal.diagonals,
+            "witness": report.witness_component, "diagnostic": report.diagnostic}
+
+
+def _glued_instances(count: int) -> list:
+    """Two random conings glued along a witness edge each, kept when they
+    pass the search preconditions (acceptance criterion 8's recipe)."""
+    rng = random.Random(0xA55E)
+    out = []
+    while len(out) < count:
+        s1 = random_coning(seed=rng.randrange(2**32), steps=rng.randint(1, 7))
+        s2 = random_coning(seed=rng.randrange(2**32), steps=rng.randint(1, 7))
+        e1 = s1.lam.edges[rng.randrange(len(s1.lam.edges))]
+        e2 = s2.lam.edges[rng.randrange(len(s2.lam.edges))]
+        g, _pair = glue_at_lambda_edge((s1.graph, s1.lam), (s2.graph, s2.lam), e1, e2)
+        if not precondition_failures(g):
+            out.append(g)
+    return out
+
+
+def _cli_json(argv: list[str], g) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        path.write_text(to_json(g))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["--format", "json", "--no-timing", *argv, str(path)])
+    return {"exit": code, "output": json.loads(out.getvalue())}
+
+
+def families():
+    sweep = [from_graph6(line) for line in corpora.SWEEP_FILE.read_text().split()]
+    coning = [random_coning(seed=s, steps=k).graph for s in range(101, 105) for k in range(20, 33)]
+    fx = fixtures()
+
+    yield "sweep/global", (_verdict(global_search(g)) for g in sweep)
+    yield "sweep/relative", (
+        _verdict(relative_search(g, req))
+        for g in sweep
+        for req in [()] + [[(u, w)] for u, w in itertools.combinations(range(g.n), 2)
+                           if not g.has_edge(u, w)]
+    )
+    yield "coning", (_verdict(search(g)) for g in coning for search in (global_search, relative_search))
+    yield "glued", (_verdict(global_search(g)) for g in _glued_instances(100))
+    yield "fixtures", (
+        out
+        for name, f in fx.items()
+        for out in [_verdict(global_search(f.graph)), _verdict(relative_search(f.graph)),
+                    _verdict(naive_search(f.graph))]
+        + ([verify_fidl(f.graph, f.lam).to_json_dict()] if f.lam is not None else [])
+    )
+    oracle = [from_graph6(s) for s in corpora.oracle(101).graph6[:100]]
+    yield "oracle", (_verdict(search(g)) for g in oracle for search in (global_search, naive_search))
+    yield "cli", (_cli_json([cmd], f.graph) for f in fx.values() for cmd in ("check", "jsj"))
+    yield "cycles", (
+        out for g in sweep + coning for out in (list(induced_cycles(g)), _cfs(g))
+    )
+
+
+def main() -> int:
+    for name, outputs in families():
+        h = hashlib.sha256()
+        count = 0
+        for out in outputs:
+            h.update(json.dumps(out, sort_keys=True).encode() + b"\n")
+            count += 1
+        print(f"{name}: {count} outputs sha256 {h.hexdigest()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -142,12 +142,13 @@ def cmd_search(args) -> int:
         results["oracle"] = naive_search(g, OracleLimits(seconds=args.timeout))
     if engine == "both":
         d, o = results["dismantle"], results["oracle"]
+        agree = _agree(d.decision, o.decision)
         payload = {
             "dismantle": _verdict_payload(args, d),
             "oracle": _verdict_payload(args, o),
-            "agree": d.decision == o.decision,
+            "agree": agree,
         }
-        if d.decision != o.decision and "budget_exceeded" not in (d.decision, o.decision):
+        if not agree:
             payload["bug_report"] = {
                 "graph": to_json_dict(g),
                 "graph6": to_graph6(g),
@@ -166,7 +167,7 @@ def cmd_search(args) -> int:
                 f" oracle={sum(o.timings_ms.values()):.1f}"
             )
         _emit(args, payload, lines)
-        return _exit_for(d if d.decision != "yes" else o)
+        return EXIT_BUDGET if "budget_exceeded" in (d.decision, o.decision) else _exit_for(d)
     verdict = next(iter(results.values()))
     payload = _verdict_payload(args, verdict)
     lines = [f"decision: {verdict.decision}"]
@@ -176,6 +177,12 @@ def cmd_search(args) -> int:
         lines.append(f"witness: {verdict.lam.to_json()}")
     _emit(args, payload, lines)
     return _exit_for(verdict)
+
+
+def _agree(a: str, b: str) -> bool:
+    """Two engines' decisions disagree only when they differ and neither
+    engine ran out of budget."""
+    return a == b or "budget_exceeded" in (a, b)
 
 
 def _exit_for(verdict: Verdict) -> int:
@@ -262,10 +269,7 @@ def _batch_row(item: tuple[int, str, str, float | None], with_oracle: bool) -> d
     overdict = naive_search(g, OracleLimits(seconds=timeout))
     row["oracle_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     row["oracle_decision"] = overdict.decision
-    row["agree"] = overdict.decision == row["decision"] or "budget_exceeded" in (
-        overdict.decision,
-        row["decision"],
-    )
+    row["agree"] = _agree(row["decision"], overdict.decision)
     return row
 
 
@@ -301,7 +305,7 @@ def cmd_batch(args) -> int:
     if bad:
         print(f"DISAGREEMENT on {len(bad)} graphs", file=sys.stderr)
         return EXIT_DISAGREE
-    if any(r.get("decision") == "budget_exceeded" for r in rows):
+    if any("budget_exceeded" in (r.get("decision"), r.get("oracle_decision")) for r in rows):
         return EXIT_BUDGET
     if any(r.get("decision") == "parse_error" for r in rows):
         return EXIT_USAGE

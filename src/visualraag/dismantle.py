@@ -252,9 +252,10 @@ class DismantleStats:
 
 
 def _is_square_mask(g: Graph, mask: int) -> bool:
-    if mask.bit_count() != 4:
-        return False
-    return all((g.adj[v] & mask).bit_count() == 2 for v in iter_bits(mask)) and g.is_connected_mask(mask)
+    """Is the four-vertex ``mask`` an induced square?  Every vertex has two
+    neighbours in it, and the only 2-regular graph on four vertices is the
+    4-cycle."""
+    return all((g.adj[v] & mask).bit_count() == 2 for v in iter_bits(mask))
 
 
 def _state_admissible(g: Graph, rest: int, through: int | None, squares: list[Square]) -> bool:
@@ -419,12 +420,6 @@ class DaggerFailure:
     index: int
     feasible: int
     conflict: tuple[int, int] | None = None  # clashing forced choices
-
-    def to_json_dict(self, g: Graph) -> dict:
-        out = {"index": self.index, "feasible": [g.names[v] for v in iter_bits(self.feasible)]}
-        if self.conflict:
-            out["conflict"] = [g.names[v] for v in self.conflict]
-        return out
 
 
 def check_dagger(

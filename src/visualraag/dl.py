@@ -28,6 +28,7 @@ from .graphs import (
     is_incomplete,
     is_triangle_free,
     iter_bits,
+    reach,
 )
 from .squares import DiagonalGraph, Square, diagonal_graph, induced_squares
 
@@ -287,23 +288,19 @@ def _tree_failure(g: Graph, edges: tuple[tuple[int, int], ...], label: str) -> d
     """None when the edge set is a tree on its support, else a witness."""
     if not edges:
         return {"component": label, "reason": "no edges"}
-    adj: dict[int, set[int]] = {}
+    nbrs = [0] * g.n
+    support = 0
     for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    support = set(adj)
-    start = next(iter(support))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != support:
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+        support |= 1 << a | 1 << b
+    if reach(nbrs, edges[0][0], support) != support:
         return {"component": label, "reason": "disconnected"}
-    if len(edges) != len(support) - 1:
+    if len(edges) != support.bit_count() - 1:
+        adj: dict[int, set[int]] = {}
+        for a, b in edges:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
         return {"component": label, "cycle": _names(g, find_edge_cycle(adj))}
     return None
 
@@ -513,6 +510,6 @@ def commuting_graph(g: Graph, lam: Lambda) -> CommutingGraph:
     adj = [0] * len(edges)
     for i, d in enumerate(embedding):
         if d is not None:
-            adj[i] = bits(at[e] for e in iter_bits(dg.graph.adj[d]) if e in at)
+            adj[i] = bits(at[e] for e in iter_bits(dg.adj[d]) if e in at)
     names = [f"{g.names[a]}{g.names[b]}" for a, b in edges]
     return CommutingGraph(g, lam, Graph(names, adj), embedding, dg)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .dl import Lambda, is_lambda_convex
-from .graphs import Graph, bits, iter_bits, link
+from .graphs import Graph, bits, iter_bits, link, reach
 
 
 @dataclass(frozen=True)
@@ -164,27 +164,18 @@ class LabelledTree:
         n = len(self.vertices)
         if len(self.edges) != n - 1 or n < 2:
             raise ValueError("labelled tree must be a tree with at least one edge")
-        deg: dict[str, int] = {v: 0 for v in self.vertices}
-        seen = {self.vertices[0]}
-        pending = list(self.edges)
-        while pending:
-            rest = []
-            for a, b in pending:
-                if a in seen or b in seen:
-                    seen.update((a, b))
-                else:
-                    rest.append((a, b))
-            if len(rest) == len(pending):
-                raise ValueError("labelled tree is disconnected")
-            pending = rest
+        index = {v: i for i, v in enumerate(self.vertices)}
+        adj = [0] * n
         for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        for v in self.vertices:
+            adj[index[a]] |= 1 << index[b]
+            adj[index[b]] |= 1 << index[a]
+        if reach(adj, 0, (1 << n) - 1) != (1 << n) - 1:
+            raise ValueError("labelled tree is disconnected")
+        for v, nbrs in zip(self.vertices, adj):
             lbl = self.labels[v]
             if lbl < 1:
                 raise ValueError("labels must be positive")
-            if lbl == 1 and deg[v] > 1:
+            if lbl == 1 and nbrs.bit_count() > 1:
                 raise ValueError("label 1 is only allowed on leaves")
         if n == 2 and (self.labels[self.vertices[0]] == 1 or self.labels[self.vertices[1]] == 1):
             raise ValueError("a single edge needs both labels greater than 1")

@@ -4,6 +4,9 @@ Vertices are dense integer ids 0..n-1; display names live in a side table
 and are used for all serialization.  Vertex sets are plain Python ints used
 as bitmasks, which makes link-containment and separator checks single
 machine-word operations for the graph sizes this package targets.
+``reach`` and ``components`` walk any graph given by neighbour masks; they
+are the package's one connectivity walk, used for hosts, diagonal graphs,
+witness forests and trees alike.
 
 All functions here are pure; a Graph never mutates after construction, so
 everything is safe for concurrent reads.
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 def bits(iterable: Iterable[int]) -> int:
@@ -35,6 +38,38 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def bit_list(mask: int) -> list[int]:
     return list(iter_bits(mask))
+
+
+def reach(adj: Sequence[int] | Mapping[int, int], start: int, active: int) -> int:
+    """Bitmask of the vertices reachable from ``start`` (a vertex id) inside
+    ``active``, where ``adj[v]`` is the neighbour mask of vertex v.
+
+    The package's one graph walk: every connectivity, component and tree
+    test goes through it or through ``components``.  ``adj`` may be a dict
+    over the vertices that have neighbours.
+    """
+    reached = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & active & ~reached
+        reached |= frontier
+    return reached
+
+
+def components(adj: Sequence[int], active: int) -> list[int]:
+    """Connected components of the graph ``adj`` restricted to ``active``, as
+    masks, in order of their lowest vertex."""
+    comps = []
+    rest = active
+    while rest:
+        comp = reach(adj, (rest & -rest).bit_length() - 1, rest)
+        comps.append(comp)
+        rest &= ~comp
+    return comps
 
 
 class NotBipartiteError(ValueError):
@@ -162,36 +197,16 @@ class Graph:
 
     # -- connectivity helpers (masks) --------------------------------------
 
-    def reach(self, start: int, active: int) -> int:
-        """Bitmask of vertices reachable from ``start`` (a vertex id) inside ``active``."""
-        reached = 1 << start
-        frontier = reached
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= self.adj[v]
-            nxt &= active & ~reached
-            reached |= nxt
-            frontier = nxt
-        return reached
-
     def is_connected_mask(self, active: int) -> bool:
         """Is the induced subgraph on ``active`` connected?  Empty counts as connected."""
         if active == 0:
             return True
         start = (active & -active).bit_length() - 1
-        return self.reach(start, active) == active
+        return reach(self.adj, start, active) == active
 
     def components(self, active: int) -> list[int]:
         """Connected components of the induced subgraph on ``active``, as masks."""
-        comps = []
-        rest = active
-        while rest:
-            start = (rest & -rest).bit_length() - 1
-            comp = self.reach(start, rest)
-            comps.append(comp)
-            rest &= ~comp
-        return comps
+        return components(self.adj, active)
 
 
 # --------------------------------------------------------------------------
@@ -390,10 +405,11 @@ def induced_cycles(g: Graph, max_len: int | None = None) -> Iterator[list[int]]:
     if max_len is not None and max_len < 3:
         return
 
-    def extend(path: list[int], path_mask: int) -> Iterator[list[int]]:
+    def extend(path: list[int], blocked: int) -> Iterator[list[int]]:
+        # blocked: the start and every vertex below it, the path, and the
+        # neighbours of the path's inner vertices
         last = path[-1]
-        start = path[0]
-        if len(path) >= 3 and g.adj[last] >> start & 1:
+        if len(path) >= 3 and g.adj[last] >> path[0] & 1:
             # closing edge exists; any longer path through `last` would carry
             # the chord start-last, so close (canonically) and stop.
             if path[1] < last:
@@ -401,19 +417,13 @@ def induced_cycles(g: Graph, max_len: int | None = None) -> Iterator[list[int]]:
             return
         if max_len is not None and len(path) >= max_len:
             return
-        for w in iter_bits(g.adj[last]):
-            if w <= start or path_mask >> w & 1:
-                continue
-            # w may touch the path only at `last` (and start, closing next call)
-            if g.adj[w] & path_mask & ~(1 << last) & ~(1 << start):
-                continue
-            yield from extend(path + [w], path_mask | 1 << w)
+        for w in iter_bits(g.adj[last] & ~blocked):
+            yield from extend(path + [w], blocked | g.adj[last])
 
     for s in range(g.n):
-        for u in iter_bits(g.adj[s]):
-            if u < s:
-                continue
-            yield from extend([s, u], 1 << s | 1 << u)
+        below = (2 << s) - 1
+        for u in iter_bits(g.adj[s] & ~below):
+            yield from extend([s, u], below | 1 << u)
 
 
 def n_chords(g: Graph, cycle: Sequence[int], n: int) -> list[tuple[int, ...]]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .dl import Lambda
-from .graphs import Graph, bit_list, bits, iter_bits
+from .graphs import Graph, bit_list, bits, iter_bits, reach
 
 
 @dataclass(frozen=True)
@@ -134,20 +134,13 @@ class GraphOfCylinders:
         k = len(self.cylinders) + len(self.rigids)
         if k == 0:
             return True
-        adj: dict[int, set[int]] = {i: set() for i in range(k)}
+        adj = [0] * k
         nc = len(self.cylinders)
         for ci, ri in self.edges:
-            adj[ci].add(nc + ri)
-            adj[nc + ri].add(ci)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == k and len(self.edges) == k - 1
+            adj[ci] |= 1 << (nc + ri)
+            adj[nc + ri] |= 1 << ci
+        full = (1 << k) - 1
+        return reach(adj, 0, full) == full and len(self.edges) == k - 1
 
     def to_json_dict(self) -> dict:
         names = self.host.names

@@ -31,7 +31,9 @@ from .graphs import (
     NotBipartiteError,
     bipartition,
     bit_list,
+    bits,
     induced_cycles,
+    reach,
 )
 
 
@@ -114,25 +116,14 @@ def spanning_trees(n: int, edges: list[tuple[int, int]]) -> Iterator[frozenset[t
 def _connected(live: list[tuple[tuple[int, int], int, int]], nverts: int) -> bool:
     if nverts <= 1:
         return True
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    verts = set()
+    adj: dict[int, int] = {}
     for _o, a, b in live:
-        verts.add(a)
-        verts.add(b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    if len(verts) < nverts:
+        adj[a] = adj.get(a, 0) | 1 << b
+        adj[b] = adj.get(b, 0) | 1 << a
+    if len(adj) < nverts:
         return False
-    roots = {find(v) for v in verts}
-    return len(roots) == 1
+    verts = bits(adj)
+    return reach(adj, next(iter(adj)), verts) == verts
 
 
 def _class_complement_edges(g: Graph, cls: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -157,13 +148,16 @@ def _tested_pairs(
     """The one loop of ``naive_search`` and ``count_all_fidl``.
 
     Runs the preconditions (stage ``preconditions`` of ``timings``) and the
-    enumeration gates: the host is bipartite, each class has a spanning tree
-    of the complement, and the tree pairs number at most
-    ``limits.max_tree_pairs``.  Returns the verdict of the first that
-    decides, or the number of tree pairs, the start of the ``oracle`` stage
-    and a generator that checks the budget and yields (red edges, blue
-    edges, passed) for each tree pair in order; passed means R3 then R4
-    hold, on squares and cycles listed once.  One prebuilt hull oracle per
+    enumeration gates: the host is bipartite, and the tree pairs number at
+    most ``limits.max_tree_pairs``.  There is always at least one pair: a
+    graph passing the preconditions is connected (else the empty clique
+    separates it) and has an edge (else it has at most one vertex and counts
+    as complete), so both colour classes are non-empty independent sets; the
+    complement is complete on each, so each has a spanning tree.  Returns
+    the verdict of the first gate that decides, or the number of tree pairs,
+    the start of the ``oracle`` stage and a generator that checks the budget
+    and yields (red edges, blue edges, passed) for each tree pair in order;
+    passed means R3 then R4 hold, on squares and cycles listed once.  One prebuilt hull oracle per
     tree keeps its memoized answers across every pairing.
     """
     t0 = time.perf_counter()
@@ -182,10 +176,6 @@ def _tested_pairs(
     n_red = spanning_tree_count(len(red_verts), red_edges)
     n_blue = spanning_tree_count(len(blue_verts), blue_edges)
     total = n_red * n_blue
-    if total == 0:
-        return Verdict("no", "oracle", reason="NoFidlLambda",
-                       detail={"why": "a color class admits no spanning tree"},
-                       timings_ms=timings)
     if total > limits.max_tree_pairs:
         return Verdict("budget_exceeded", "oracle", reason="BudgetExceeded",
                        detail={"tree_pairs": total, "cap": limits.max_tree_pairs},
@@ -245,7 +235,7 @@ def count_all_fidl(g: Graph) -> tuple[int, list[Lambda]] | Verdict:
     ``OracleLimits``: no deadline, and a verdict past the tree-pair cap."""
     setup = _tested_pairs(g, OracleLimits(), {})
     if isinstance(setup, Verdict):
-        if setup.reason in ("NotBipartite", "NoFidlLambda"):
+        if setup.reason == "NotBipartite":
             return 0, []
         return setup
     _total, _t0, pairs = setup

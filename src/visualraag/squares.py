@@ -2,12 +2,15 @@
 
 One list, ``induced_squares``, serves every square-shaped question: the
 diagonal graph has one vertex per diagonal of an induced square and one edge
-per square, so it is read off the list in time linear in its length; R3 and
-the commuting graph use the same list.  A graph is CFS when some component
-of its diagonal graph has full support (all non-cone vertices); strongly CFS
-additionally requires the diagonal graph to be connected.  Both tests gate
-the search pipeline, and the dismantling search runs the strongly-CFS test
-on each state from the squares it already holds.
+per square, so it is read off the list in time linear in its length, as
+neighbour masks over diagonal indices (a named ``Graph`` is built only when
+read); R3 and the commuting graph use the same list.  A graph is CFS when
+some component of its diagonal graph has full support (all non-cone
+vertices); strongly CFS additionally requires the diagonal graph to be
+connected.  Both take its components with ``graphs.reach`` and
+``graphs.components``.  Both tests gate the search pipeline, and the
+dismantling search runs the strongly-CFS test on each state from the
+squares it already holds.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph, bit_list, bits, iter_bits
+from .graphs import Graph, bit_list, bits, components, iter_bits, reach
 
 # an induced square as its two diagonals ((a, b), (c, d))
 Square = tuple[tuple[int, int], tuple[int, int]]
@@ -27,14 +30,20 @@ Square = tuple[tuple[int, int], tuple[int, int]]
 class DiagonalGraph:
     """Diagonal graph of a host graph.
 
-    ``diagonals`` are sorted host-vertex pairs, in sorted order; ``graph`` is
-    the abstract graph on their indices (names "{a,b}" built from host
-    display names).  ``host`` keeps the reference for support queries.
+    ``diagonals`` are sorted host-vertex pairs, in sorted order; ``adj``
+    holds the neighbour mask of each, over their indices.  ``host`` keeps
+    the reference for support queries and names.
     """
 
     host: Graph
     diagonals: tuple[tuple[int, int], ...]
-    graph: Graph
+    adj: tuple[int, ...]
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The diagonal graph as a ``Graph`` named "{a,b}" by host display names."""
+        names = [f"{{{self.host.names[a]},{self.host.names[b]}}}" for a, b in self.diagonals]
+        return Graph(names, self.adj)
 
     @cached_property
     def _index(self) -> dict[tuple[int, int], int]:
@@ -100,8 +109,7 @@ def _cone(g: Graph, active: int) -> int:
 def diagonal_graph(g: Graph, active: int | None = None) -> DiagonalGraph:
     """Exact diagonal graph of g (restricted to ``active`` when given)."""
     diags, adj = _diagonal_adjacency(induced_squares(g, active))
-    names = [f"{{{g.names[a]},{g.names[b]}}}" for a, b in diags]
-    return DiagonalGraph(g, tuple(diags), Graph(names, adj))
+    return DiagonalGraph(g, tuple(diags), tuple(adj))
 
 
 class CfsStatus(enum.Enum):
@@ -116,9 +124,6 @@ class CfsReport:
     diagonal: DiagonalGraph
     witness_component: tuple[int, ...]  # diagonal indices of the full-support component
     diagnostic: str = ""
-
-    def __bool__(self) -> bool:
-        return self.status is not CfsStatus.NOT_CFS
 
 
 def cfs_status(g: Graph, active: int | None = None) -> CfsReport:
@@ -137,7 +142,7 @@ def cfs_status(g: Graph, active: int | None = None) -> CfsReport:
         if cone:
             diagnostic += "; graph has cone vertices (star-like)"
         return CfsReport(CfsStatus.NOT_CFS, dg, (), diagnostic)
-    comps = dg.graph.components(dg.graph.full_mask)
+    comps = components(dg.adj, (1 << len(dg.adj)) - 1)
     witness = next((tuple(iter_bits(c)) for c in comps
                     if dg.support_mask(iter_bits(c)) | cone == active), ())
     if not witness:
@@ -170,11 +175,7 @@ def is_strongly_cfs(g: Graph, active: int | None = None, squares: list[Square] |
     if not inside:
         return False
     _, adj = _diagonal_adjacency(inside)
-    reached, stack = 1, [0]
-    while stack:
-        new = adj[stack.pop()] & ~reached
-        reached |= new
-        stack.extend(iter_bits(new))
-    if reached != (1 << len(adj)) - 1:
+    full = (1 << len(adj)) - 1
+    if reach(adj, 0, full) != full:
         return False
     return corners == active or corners | _cone(g, active) == active

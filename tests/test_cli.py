@@ -169,6 +169,34 @@ def test_batch_both_engines_csv(capsys, tmp_path):
     assert "True" in row
 
 
+def test_search_and_batch_share_one_agreement_rule(capsys, tmp_path):
+    # the oracle refuses bicycle_wheel(6) at its tree-pair cap: a budget
+    # verdict agrees with any other, and either engine's budget gives exit 4
+    p = tmp_path / "wheel6.g6"
+    p.write_text(to_graph6(bicycle_wheel(6)[0]) + "\n")
+    code, out = run(capsys, "--format", "json", "search", str(p), "--engine", "both")
+    data = json.loads(out)
+    assert (data["dismantle"]["decision"], data["oracle"]["decision"]) == ("yes", "budget_exceeded")
+    assert (code, data["agree"]) == (4, True)
+    code, out = run(capsys, "--format", "json", "batch", str(p), "--engine", "both")
+    (row,) = json.loads(out)["rows"]
+    assert (row["decision"], row["oracle_decision"]) == ("yes", "budget_exceeded")
+    assert (code, row["agree"]) == (4, True)
+
+
+def test_batch_workers_give_the_rows_of_one_worker(capsys, tmp_path):
+    stream = tmp_path / "fixtures.g6"
+    stream.write_text("\n".join(to_graph6(f.graph) for f in fixtures().values()))
+    rows, codes = {}, {}
+    for workers in ("1", "2"):
+        codes[workers], out = run(capsys, "--format", "json", "batch", str(stream),
+                                  "--engine", "both", "--workers", workers)
+        rows[workers] = [{k: v for k, v in r.items() if not k.endswith("_ms")}
+                         for r in json.loads(out)["rows"]]
+    assert len(rows["1"]) == len(fixtures())
+    assert rows["2"] == rows["1"] and codes["2"] == codes["1"]
+
+
 def test_batch_empty_stream(capsys, tmp_path):
     stream = tmp_path / "empty.g6"
     stream.write_text("")

@@ -14,6 +14,7 @@ from visualraag.graphs import (
     bits,
     cliques,
     complement,
+    components,
     dominator,
     from_graph6,
     from_json,
@@ -24,6 +25,7 @@ from visualraag.graphs import (
     is_triangle_free,
     link,
     n_chords,
+    reach,
     satellites,
     to_graph6,
     to_json,
@@ -414,3 +416,20 @@ def test_dominator_is_lowest_listed_dominator(n):
     for v in range(g.n):
         doms = listed.get(v, 0)
         assert dominator(g, v) == (bit_list(doms)[0] if doms else None)
+
+
+# ------------------------------------------------------------ the one walk
+
+
+def test_reach_and_components_match_networkx_on_random_masks():
+    rng = random.Random(0x5EED)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice((0.1, 0.25, 0.5)))
+        active = rng.getrandbits(g.n)
+        h = to_networkx(g).subgraph(bit_list(active))
+        want = sorted(bits(c) for c in nx.connected_components(h))
+        assert sorted(components(list(g.adj), active)) == want
+        assert g.components(active) == components(g.adj, active)
+        for v in bit_list(active):
+            assert reach(g.adj, v, active) == bits(nx.node_connected_component(h, v))
+        assert g.is_connected_mask(active) == (len(want) <= 1)

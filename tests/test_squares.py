@@ -13,7 +13,8 @@ from visualraag.squares import (
     is_strongly_cfs,
     support,
 )
-from visualraag.generators import bicycle_wheel, random_coning
+from visualraag.dismantle import global_search
+from visualraag.generators import bicycle_wheel, fixtures, random_coning
 
 from conftest import (
     complete_bipartite,
@@ -187,3 +188,17 @@ def test_is_strongly_cfs_from_squares_matches_cfs_status_on_coning_strata():
                 assert is_strongly_cfs(g, mask, squares) == want
                 seen.add(want)
     assert seen == {True, False}
+
+
+def test_gates_build_no_named_diagonal_graph(monkeypatch):
+    """The CFS gate and the search read the diagonal graph as neighbour
+    masks: with ``Graph`` unusable inside ``squares``, both decisions stand."""
+
+    def no_graph(*_args, **_kwargs):
+        raise AssertionError("squares built a named Graph")
+
+    fx = fixtures()
+    monkeypatch.setattr("visualraag.squares.Graph", no_graph)
+    assert global_search(fx["wheel3"].graph).decision == "yes"
+    verdict = global_search(fx["hexagon"].graph)
+    assert (verdict.decision, verdict.stage) == ("no", "cfs")
