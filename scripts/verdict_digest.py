@@ -23,7 +23,12 @@ Families:
   ``global_search`` and ``naive_search``;
 - cli: ``visualraag check`` and ``visualraag jsj`` JSON on every fixture;
 - cycles: ``induced_cycles`` lists and CFS reports of the sweep and coning
-  graphs.
+  graphs;
+- count: ``count_all_fidl`` on the sweep, the count and every witness, so
+  the oracle's verdict on every tree pair it tests reaches the digest;
+- verify: ``verify_fidl`` reports on 400 random spanning-tree pairs of the
+  bipartite sweep graphs (seed 0x7E57); most fail, so the R1-R4 failure
+  witnesses are covered too.
 """
 
 import contextlib
@@ -43,10 +48,17 @@ sys.path.insert(0, str(ROOT / "bench"))
 import corpora  # noqa: E402
 from visualraag import cli  # noqa: E402
 from visualraag.dismantle import global_search, relative_search  # noqa: E402
-from visualraag.dl import precondition_failures, verify_fidl  # noqa: E402
+from visualraag.dl import Lambda, precondition_failures, verify_fidl  # noqa: E402
 from visualraag.generators import fixtures, glue_at_lambda_edge, random_coning  # noqa: E402
-from visualraag.graphs import from_graph6, induced_cycles, to_json  # noqa: E402
-from visualraag.oracle import naive_search  # noqa: E402
+from visualraag.graphs import (  # noqa: E402
+    NotBipartiteError,
+    bipartition,
+    bit_list,
+    from_graph6,
+    induced_cycles,
+    to_json,
+)
+from visualraag.oracle import count_all_fidl, naive_search  # noqa: E402
 from visualraag.squares import cfs_status  # noqa: E402
 
 
@@ -74,6 +86,25 @@ def _glued_instances(count: int) -> list:
         if not precondition_failures(g):
             out.append(g)
     return out
+
+
+def _random_tree_pairs(sweep: list, count: int):
+    """(graph, witness) for ``count`` random pairs of spanning trees of the
+    two class complements, each tree grown by attaching every vertex of a
+    shuffled class to an earlier one (the complement is complete on a class)."""
+    rng = random.Random(0x7E57)
+    bipartite = []
+    for g in sweep:
+        with contextlib.suppress(NotBipartiteError):
+            col = bipartition(g)
+            bipartite.append((g, bit_list(col.red), bit_list(col.blue)))
+    for _ in range(count):
+        g, *classes = rng.choice(bipartite)
+        trees = []
+        for verts in classes:
+            order = rng.sample(verts, len(verts))
+            trees.append([(rng.choice(order[:i]), v) for i, v in enumerate(order) if i])
+        yield g, Lambda.make(g, *trees)
 
 
 def _cli_json(argv: list[str], g) -> dict:
@@ -112,6 +143,15 @@ def families():
     yield "cli", (_cli_json([cmd], f.graph) for f in fx.values() for cmd in ("check", "jsj"))
     yield "cycles", (
         out for g in sweep + coning for out in (list(induced_cycles(g)), _cfs(g))
+    )
+    yield "count", (
+        [count, [lam.to_json_dict() for lam in lams]]
+        for g in sweep
+        for count, lams in [count_all_fidl(g)]
+    )
+    yield "verify", (
+        [lam.to_json_dict(), verify_fidl(g, lam).to_json_dict()]
+        for g, lam in _random_tree_pairs(sweep, 400)
     )
 
 

@@ -66,7 +66,7 @@ def parse_graph_text(text: str, where: str = "<input>") -> Graph:
             return from_json(stripped)
         first = stripped.splitlines()[0]
         return from_graph6(first)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CliError(f"{where}: cannot parse graph: {exc}") from exc
 
 

@@ -7,15 +7,18 @@ subgroup conditions R1-R4 and the index condition F1 in their simplified
 two-component triangle-free form.  The remaining index condition is implied
 by R2 and F1 in this setting and is never checked separately.
 
-Verification is pure; every failure carries a concrete witness so reports
-are machine-checkable.
+Each join condition has one mask-level check, ``r3_violation`` and
+``r4_violation``, given any hull function; ``verify_fidl`` runs them through
+``check_r3``/``check_r4``, and the brute-force oracle runs them on every tree
+pair.  Verification is pure; every failure carries a concrete witness so
+reports are machine-checkable.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graphs import (
     Graph,
@@ -205,30 +208,6 @@ class HullOracle:
         return hull
 
 
-class CombinedHulls:
-    """Hull provider assembled from one prebuilt oracle per color class.
-
-    Per-class memoization survives across candidate pairings, which is what
-    makes the exhaustive witness enumeration affordable: a color tree's hull
-    answers are reused against every tree it is paired with.
-    """
-
-    __slots__ = ("red", "blue", "red_mask", "blue_mask")
-
-    def __init__(self, red: HullOracle, blue: HullOracle, red_mask: int, blue_mask: int):
-        self.red = red
-        self.blue = blue
-        self.red_mask = red_mask
-        self.blue_mask = blue_mask
-
-    def hull(self, smask: int) -> int:
-        return (
-            smask
-            | self.red.hull(smask & self.red_mask)
-            | self.blue.hull(smask & self.blue_mask)
-        )
-
-
 def lambda_hull(lam: Lambda, s: Iterable[int] | int) -> int:
     """Vertex set of the convex hull of ``s`` inside the witness forest.
 
@@ -357,47 +336,35 @@ def check_r1_r2_f1(g: Graph, lam: Lambda) -> list[ConditionResult]:
     return results
 
 
-def check_r3(
-    g: Graph,
-    lam: Lambda | None,
-    squares: list[Square] | None = None,
-    hulls: "HullOracle | CombinedHulls | None" = None,
-) -> ConditionResult:
-    """For every induced square, the join of the two diagonal hulls must lie
-    in the host graph.
+def r3_violation(
+    g: Graph, squares: Iterable[Square], hull: Callable[[int], int]
+) -> tuple[Square, int, int] | None:
+    """R3: for every induced square, the join of the two diagonal hulls must
+    lie in the host graph.
 
-    ``squares`` and ``hulls`` may be supplied precomputed (the exhaustive
-    oracle reuses the squares across all candidate witnesses).
+    ``hull`` maps a vertex mask to its hull mask.  Returns the first
+    violation as (square, v, w), where v-w is the missing join edge, or None.
     """
-    if squares is None:
-        squares = induced_squares(g)
-    hulls = hulls or HullOracle(lam)
-    for (a, b), (c, d) in squares:
-        hull1 = hulls.hull(1 << a | 1 << b)
-        hull2 = hulls.hull(1 << c | 1 << d)
+    for square in squares:
+        (a, b), (c, d) = square
+        hull1 = hull(1 << a | 1 << b)
+        hull2 = hull(1 << c | 1 << d)
         for v in iter_bits(hull1):
             missing = hull2 & ~g.adj[v]
             if missing:
-                w = (missing & -missing).bit_length() - 1
-                return ConditionResult(
-                    "R3",
-                    False,
-                    {
-                        "square": [_names(g, (a, b)), _names(g, (c, d))],
-                        "missing_edge": [g.names[v], g.names[w]],
-                    },
-                )
-    return ConditionResult("R3", True)
+                return square, v, (missing & -missing).bit_length() - 1
+    return None
 
 
-def check_r4(
-    g: Graph,
-    lam: Lambda | None,
-    cycles: list[list[int]] | None = None,
-    hulls: "HullOracle | CombinedHulls | None" = None,
-) -> ConditionResult:
-    """Every edge of every induced cycle must sit in an induced square whose
-    opposite corners lie in the hull of the cycle.
+def r4_violation(
+    g: Graph, cycles: Iterable[Sequence[int]], hull: Callable[[int], int]
+) -> tuple[Sequence[int], int, int] | None:
+    """R4: every edge of every induced cycle must sit in an induced square
+    whose opposite corners lie in the hull of the cycle.
+
+    ``hull`` maps a vertex mask to its hull mask.  Returns the first
+    violation as (cycle, a, b), where a-b is the edge with no hull square,
+    or None.
 
     Checking induced cycles only is sufficient: a shortest violating cycle
     can be cut along any chord into shorter cycles covering its edges.
@@ -406,23 +373,37 @@ def check_r4(
     lie in the cycle, hence in its hull.  So the first failing cycle, and
     the report, are those of the full check.
     """
-    if cycles is None:
-        cycles = [list(c) for c in induced_cycles(g)]
-    hulls = hulls or HullOracle(lam)
     for cyc in cycles:
         if len(cyc) == 4:
             continue
-        hull = hulls.hull(bits(cyc))
+        cyc_hull = hull(bits(cyc))
         closed = list(cyc) + [cyc[0]]
         for i in range(len(cyc)):
             a, b = closed[i], closed[i + 1]
-            if not _edge_in_hull_square(g, a, b, hull):
-                return ConditionResult(
-                    "R4",
-                    False,
-                    {"cycle": _names(g, cyc), "edge": [g.names[a], g.names[b]]},
-                )
-    return ConditionResult("R4", True)
+            if not _edge_in_hull_square(g, a, b, cyc_hull):
+                return cyc, a, b
+    return None
+
+
+def check_r3(g: Graph, lam: Lambda, hulls: HullOracle | None = None) -> ConditionResult:
+    """``r3_violation`` on every induced square of ``g``, its witness named."""
+    bad = r3_violation(g, induced_squares(g), (hulls or HullOracle(lam)).hull)
+    if bad is None:
+        return ConditionResult("R3", True)
+    square, v, w = bad
+    return ConditionResult("R3", False, {"square": [_names(g, pair) for pair in square],
+                                         "missing_edge": [g.names[v], g.names[w]]})
+
+
+def check_r4(g: Graph, lam: Lambda, hulls: HullOracle | None = None) -> ConditionResult:
+    """``r4_violation`` on every induced cycle of ``g``, its witness named."""
+    bad = r4_violation(g, induced_cycles(g), (hulls or HullOracle(lam)).hull)
+    if bad is None:
+        return ConditionResult("R4", True)
+    cyc, a, b = bad
+    return ConditionResult(
+        "R4", False, {"cycle": _names(g, cyc), "edge": [g.names[a], g.names[b]]}
+    )
 
 
 def _edge_in_hull_square(g: Graph, a: int, b: int, hull: int) -> bool:

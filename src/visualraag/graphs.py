@@ -471,7 +471,12 @@ def from_json_dict(data: dict) -> Graph:
         edges = [(a, b) for a, b in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
-    return Graph.from_edges(names, edges)
+    try:
+        return Graph.from_edges(names, edges)
+    except KeyError as exc:
+        raise ValueError(f"malformed graph JSON: edge names unknown vertex {exc}") from exc
+    except TypeError as exc:  # a vertex name that is not hashable
+        raise ValueError(f"malformed graph JSON: {exc}") from exc
 
 
 def from_json(text: str) -> Graph:

@@ -2,10 +2,12 @@
 
 For a bipartite host the tree conditions are equivalent to picking one
 spanning tree of the complement inside each color class, so the oracle
-enumerates all tree pairs and checks the two join conditions directly.  Its
-value is simplicity; the only shortcut is the bipartiteness reduction.  The
-expected enumeration size is pre-computed with the matrix-tree theorem so
-explosive instances fail fast as budget refusals instead of hanging.
+enumerates all tree pairs and checks the two join conditions directly, with
+the mask-level ``r3_violation`` and ``r4_violation`` that ``verify_fidl``
+also runs; a failing pair is never named.  Its value is simplicity; the only
+shortcut is the bipartiteness reduction.  The expected enumeration size is
+pre-computed with the matrix-tree theorem so explosive instances fail fast
+as budget refusals instead of hanging.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .dl import (
-    CombinedHulls,
     HullOracle,
     Lambda,
-    check_r3,
-    check_r4,
     induced_squares,
     precondition_failures,
+    r3_violation,
+    r4_violation,
     verified,
 )
 from .dismantle import Budget, BudgetExceeded, Verdict, record_stage
@@ -156,9 +157,11 @@ def _tested_pairs(
     complement is complete on each, so each has a spanning tree.  Returns
     the verdict of the first gate that decides, or the number of tree pairs,
     the start of the ``oracle`` stage and a generator that checks the budget
-    and yields (red edges, blue edges, passed) for each tree pair in order;
-    passed means R3 then R4 hold, on squares and cycles listed once.  One prebuilt hull oracle per
-    tree keeps its memoized answers across every pairing.
+    once per tree of the pool and once per pair, and yields (red edges, blue
+    edges, passed) for each tree pair in order; passed means
+    ``r3_violation`` and then ``r4_violation`` find nothing, on squares and
+    cycles listed once.  A pair's hull joins the two trees' prebuilt hull
+    oracles, whose memoized answers last across every pairing.
     """
     t0 = time.perf_counter()
     fails = precondition_failures(g)
@@ -181,22 +184,24 @@ def _tested_pairs(
                        detail={"tree_pairs": total, "cap": limits.max_tree_pairs},
                        timings_ms=timings)
     squares = induced_squares(g)
-    cycles = [list(c) for c in induced_cycles(g)]
+    cycles = list(induced_cycles(g))
     budget = Budget.from_seconds(limits.seconds)
 
     def pairs() -> Iterator[tuple[list, list, bool]]:
         blue_pool = []
         for t in spanning_trees(len(blue_verts), blue_edges):
+            budget.check()
             blue = [(blue_verts[a], blue_verts[b]) for a, b in t]
             blue_pool.append((blue, HullOracle.from_edges(g.n, blue)))
         for rt in spanning_trees(len(red_verts), red_edges):
             red = [(red_verts[a], red_verts[b]) for a, b in rt]
-            red_hulls = HullOracle.from_edges(g.n, red)
+            red_hull = HullOracle.from_edges(g.n, red).hull
             for blue, blue_hulls in blue_pool:
                 budget.check()
-                hulls = CombinedHulls(red_hulls, blue_hulls, col.red, col.blue)
-                yield red, blue, (check_r3(g, None, squares, hulls).passed
-                                  and check_r4(g, None, cycles, hulls).passed)
+                blue_hull = blue_hulls.hull
+                hull = lambda m: m | red_hull(m & col.red) | blue_hull(m & col.blue)
+                yield red, blue, (r3_violation(g, squares, hull) is None
+                                  and r4_violation(g, cycles, hull) is None)
 
     return total, t0, pairs()
 

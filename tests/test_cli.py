@@ -197,6 +197,18 @@ def test_batch_workers_give_the_rows_of_one_worker(capsys, tmp_path):
     assert rows["2"] == rows["1"] and codes["2"] == codes["1"]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_batch_unknown_vertex_is_a_parse_error_row(capsys, tmp_path, workers):
+    stream = tmp_path / "mixed.txt"
+    bad = json.dumps({"vertices": ["a", "b"], "edges": [["a", "z"]]})
+    stream.write_text(to_graph6(bicycle_wheel(3)[0]) + "\n" + bad + "\n")
+    code, out = run(capsys, "--format", "json", "batch", str(stream), "--workers", workers)
+    rows = json.loads(out)["rows"]
+    assert [r["decision"] for r in rows] == ["yes", "parse_error"]
+    assert "unknown vertex" in rows[1]["error"]
+    assert code == 1
+
+
 def test_batch_empty_stream(capsys, tmp_path):
     stream = tmp_path / "empty.g6"
     stream.write_text("")

@@ -327,6 +327,16 @@ def test_json_parse_error():
         from_json('{"vertices": ["a"]}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"vertices": ["a", "b"], "edges": [["a", "z"]]}',
+    '{"vertices": [["a"]], "edges": []}',
+    '{"vertices": ["a"], "edges": [[["a"], "a"]]}',
+], ids=["unknown_vertex", "unhashable_vertex", "unhashable_endpoint"])
+def test_json_bad_vertex_is_a_value_error(text):
+    with pytest.raises(ValueError, match="malformed graph JSON"):
+        from_json(text)
+
+
 def test_graph6_known_values():
     # cross-checked against networkx: the 5-cycle encodes as "Dhc"
     assert to_graph6(cycle_graph(5)) == "Dhc"

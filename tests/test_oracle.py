@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visualraag.dl import Lambda, check_r3, check_r4, lambda_hull, verify_fidl
-from visualraag.graphs import Graph, bits, bit_list
+from visualraag.graphs import Graph, NotBipartiteError, bipartition, bits, bit_list
 from visualraag.oracle import (
     OracleLimits,
     canonical_lambda,
@@ -25,6 +26,7 @@ from conftest import (
     random_graph,
     random_triangle_free,
     square,
+    sweep_graphs,
     to_networkx,
 )
 from naive_dl import literal_hull, literal_r3, literal_r4
@@ -100,6 +102,44 @@ def test_oracle_budget_by_pair_cap():
     verdict = naive_search(g, OracleLimits(max_tree_pairs=10))
     assert verdict.decision == "budget_exceeded"
     assert verdict.reason == "BudgetExceeded"
+
+
+def test_oracle_deadline_holds_while_the_tree_pool_is_built():
+    # K_{3,8}: the 8-vertex class has 8^6 spanning trees, built before any pair
+    g = Graph.from_int_edges(11, [(a, b) for a in range(3) for b in range(3, 11)])
+    t0 = time.perf_counter()
+    verdict = naive_search(g, OracleLimits(seconds=0.3))
+    assert verdict.decision == "budget_exceeded"
+    assert time.perf_counter() - t0 < 2
+
+
+def test_oracle_pair_predicate_is_verify_fidl():
+    # every tree pair of the two class complements, judged by verify_fidl,
+    # against the pairs the oracle's own R3/R4 loop accepts
+    for g in sweep_graphs():
+        if g.n > 7:
+            continue
+        try:
+            col = bipartition(g)
+        except NotBipartiteError:
+            assert count_all_fidl(g) == (0, [])
+            continue
+        sides = []
+        for cls in (col.red, col.blue):
+            verts = bit_list(cls)
+            edges = [(i, j) for i, j in itertools.combinations(range(len(verts)), 2)
+                     if not g.has_edge(verts[i], verts[j])]
+            sides.append([[(verts[a], verts[b]) for a, b in t]
+                          for t in spanning_trees(len(verts), edges)])
+        passing = sorted(
+            (lam.red_edges, lam.blue_edges)
+            for red, blue in itertools.product(*sides)
+            for lam in [canonical_lambda(Lambda.make(g, red, blue))]
+            if verify_fidl(g, lam).passed
+        )
+        count, lams = count_all_fidl(g)
+        assert passing == [(lam.red_edges, lam.blue_edges) for lam in lams], g.adj
+        assert count == len(passing)
 
 
 def test_count_all_ordermatters_orbit():
