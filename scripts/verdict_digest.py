@@ -28,10 +28,17 @@ Families:
   the oracle's verdict on every tree pair it tests reaches the digest;
 - verify: ``verify_fidl`` reports on 400 random spanning-tree pairs of the
   bipartite sweep graphs (seed 0x7E57); most fail, so the R1-R4 failure
-  witnesses are covered too.
+  witnesses are covered too;
+- dismantlings: on every sweep graph, every fixture and coning seeds 101-104
+  at 8, 10 and 12 steps, every sequence ``enumerate_dismantlings`` yields
+  (at most 2,000 per graph) with its ``DismantleStats``; then the
+  ``DismantleStats`` of ``relative_search`` on the sweep, with no required
+  pair and with each single required non-edge.  Search order and pruning
+  reach the digest, not only a search's first sequence.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -47,7 +54,12 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import corpora  # noqa: E402
 from visualraag import cli  # noqa: E402
-from visualraag.dismantle import global_search, relative_search  # noqa: E402
+from visualraag.dismantle import (  # noqa: E402
+    DismantleStats,
+    enumerate_dismantlings,
+    global_search,
+    relative_search,
+)
 from visualraag.dl import Lambda, precondition_failures, verify_fidl  # noqa: E402
 from visualraag.generators import fixtures, glue_at_lambda_edge, random_coning  # noqa: E402
 from visualraag.graphs import (  # noqa: E402
@@ -107,6 +119,24 @@ def _random_tree_pairs(sweep: list, count: int):
         yield g, Lambda.make(g, *trees)
 
 
+def _dismantlings(g, cap: int = 2000) -> dict:
+    stats = DismantleStats()
+    seqs = [seq.to_json_dict() for seq in itertools.islice(enumerate_dismantlings(g, stats), cap)]
+    return {"sequences": seqs, "stats": dataclasses.asdict(stats)}
+
+
+def _relative_stats(g, req) -> dict:
+    stats = DismantleStats()
+    relative_search(g, req, stats=stats)
+    return dataclasses.asdict(stats)
+
+
+def _non_edge_requirements(g) -> list:
+    """No required pair, then each single required non-edge."""
+    return [()] + [[(u, w)] for u, w in itertools.combinations(range(g.n), 2)
+                   if not g.has_edge(u, w)]
+
+
 def _cli_json(argv: list[str], g) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.json"
@@ -124,10 +154,7 @@ def families():
 
     yield "sweep/global", (_verdict(global_search(g)) for g in sweep)
     yield "sweep/relative", (
-        _verdict(relative_search(g, req))
-        for g in sweep
-        for req in [()] + [[(u, w)] for u, w in itertools.combinations(range(g.n), 2)
-                           if not g.has_edge(u, w)]
+        _verdict(relative_search(g, req)) for g in sweep for req in _non_edge_requirements(g)
     )
     yield "coning", (_verdict(search(g)) for g in coning for search in (global_search, relative_search))
     yield "glued", (_verdict(global_search(g)) for g in _glued_instances(100))
@@ -152,6 +179,11 @@ def families():
     yield "verify", (
         [lam.to_json_dict(), verify_fidl(g, lam).to_json_dict()]
         for g, lam in _random_tree_pairs(sweep, 400)
+    )
+    small_coning = [random_coning(seed=s, steps=k).graph for s in range(101, 105) for k in (8, 10, 12)]
+    yield "dismantlings", itertools.chain(
+        (_dismantlings(g) for g in sweep + [f.graph for f in fx.values()] + small_coning),
+        (_relative_stats(g, req) for g in sweep for req in _non_edge_requirements(g)),
     )
 
 

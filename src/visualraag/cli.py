@@ -213,7 +213,7 @@ def cmd_gen(args) -> int:
     name = args.family
     seed = args.seed
     if name == "wheel":
-        g, lam = generators.bicycle_wheel(args.n or 3)
+        g, lam = generators.bicycle_wheel(args.n)
     elif name == "coning":
         seq = generators.random_coning(seed, args.steps)
         g, lam = seq.graph, seq.lam
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="emit generator instances")
     g.add_argument("family", choices=("wheel", "coning", "tree-family", "fixture"))
-    g.add_argument("--n", type=int, default=None, help="wheel size")
+    g.add_argument("--n", type=int, default=3, help="wheel size")
     g.add_argument("--steps", type=int, default=10, help="coning steps")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--tree", help="labelled tree JSON for tree-family")

@@ -10,7 +10,8 @@ replaying the removals as conings.
 One backtracking core, ``_dismantle``, with one failure memo, serves both
 ``enumerate_dismantlings`` (every sequence) and ``relative_search`` (the
 first sequence whose steps pass the step condition, checked as each step is
-made); it derives each state's admissibility incrementally from its parent's.
+made); it reads each state's strong CFS off the host's one diagonal graph
+and carries the separating-clique test from each state to its children.
 ``relative_search`` runs the gate sequence and that search for one graph
 with required witness edges; ``global_search`` adds divide-and-conquer over
 the cuts, which after the gates never cross.  ``check_dagger`` fixes the
@@ -48,7 +49,7 @@ from .graphs import (
     iter_bits,
     n_chords,
 )
-from .squares import CfsStatus, Square, cfs_status, induced_squares, is_strongly_cfs
+from .squares import CfsStatus, cfs_status, diagonal_graph
 
 
 class BudgetExceeded(Exception):
@@ -258,14 +259,6 @@ def _is_square_mask(g: Graph, mask: int) -> bool:
     return all((g.adj[v] & mask).bit_count() == 2 for v in iter_bits(mask))
 
 
-def _state_admissible(g: Graph, rest: int, through: int | None, squares: list[Square]) -> bool:
-    """No separating clique and strongly CFS: sound pruning, because the
-    guaranteed sequence passes through graphs that themselves admit witnesses.
-    ``rest`` is a state less a satellite, ``squares`` the state's squares and
-    ``through`` None or a vertex of every separating clique (``_dismantle``)."""
-    return not has_separating_clique(g, rest, through) and is_strongly_cfs(g, rest, squares)
-
-
 # a removal: (x, cone = link of x at removal time)
 Removal = tuple[int, int]
 
@@ -281,15 +274,18 @@ def _dismantle(
     removal lists in search order.
 
     Candidates at each state are satellites of the current induced subgraph
-    whose removal leaves an admissible graph (``_state_admissible``);
-    triangle-freeness and incompleteness hold automatically above the base,
+    whose removal leaves an admissible graph: one with no separating clique
+    that is strongly CFS.  The pruning is sound because the guaranteed
+    sequence passes through graphs that themselves admit witnesses.
+    Triangle-freeness and incompleteness hold automatically above the base,
     and the four-vertex terminal state must be a square.
 
-    Admissibility is carried from a state to its children.  Each state
-    holds its induced squares (a child's are the parent's less those through
-    the removed vertex), from which the strongly-CFS test reads the diagonal
-    graph.  Lemma: if the state M has no separating clique and w dominates
-    the satellite x in M, every separating clique S of M - x contains w.
+    Strong CFS is read from the root: the host's diagonal graph is built
+    once, and each state's is that graph restricted to the state's mask
+    (``DiagonalGraph.strongly_cfs``).  The separating-clique test is
+    carried from a state to its children.  Lemma: if the state M has no
+    separating clique and w dominates the satellite x in M, every
+    separating clique S of M - x contains w.
     Proof: if w is not in S, the neighbours of x outside S are neighbours of
     w, so in w's component of M - x - S; so M - S has at least as many
     components as M - x - S, and S would separate M.  So only the cliques
@@ -329,15 +325,16 @@ def _dismantle(
     admissible_cache: dict[int, bool] = {}
     failed: set = set()
 
-    def admissible(rest: int, through: int | None, squares: list[Square]) -> bool:
+    dg = diagonal_graph(g)
+
+    def admissible(rest: int, through: int | None) -> bool:
         got = admissible_cache.get(rest)
         if got is None:
-            got = admissible_cache[rest] = _state_admissible(g, rest, through, squares)
+            got = admissible_cache[rest] = (
+                not has_separating_clique(g, rest, through) and dg.strongly_cfs(rest))
         return got
 
-    def descend(
-        mask: int, removed: list[Removal], squares: list[Square], clean: bool
-    ) -> Iterator[list[Removal]]:
+    def descend(mask: int, removed: list[Removal], clean: bool) -> Iterator[list[Removal]]:
         budget.check()
         key = (mask, frozenset(c & mask for _, c in removed if c & mask)) if checked else mask
         if key in failed:
@@ -357,7 +354,7 @@ def _dismantle(
                 continue
             stats.removals_tried += 1
             rest = mask & ~(1 << x)
-            if not admissible(rest, w if clean else None, squares):
+            if not admissible(rest, w if clean else None):
                 continue
             lx = g.adj[x] & mask
             if checked:
@@ -374,14 +371,13 @@ def _dismantle(
                     feas &= 1 << partners.pop()
                 if not feas:
                     continue
-            below = [sq for sq in squares if x not in sq[0] and x not in sq[1]]
-            for done in descend(rest, removed + [(x, lx)], below, True):
+            for done in descend(rest, removed + [(x, lx)], True):
                 produced = True
                 yield done
         if not produced:
             failed.add(key)
 
-    yield from descend(g.full_mask, [], induced_squares(g), clean_root)
+    yield from descend(g.full_mask, [], clean_root)
 
 
 def _sequence(g: Graph, removed: list[Removal]) -> DismantlingSequence:

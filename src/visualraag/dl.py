@@ -124,7 +124,8 @@ class Lambda:
 
 
 class HullOracle:
-    """Hull computations for one witness, with memoized queries.
+    """Hull computations for one witness, with memoized queries; the oracle
+    passes each spanning tree it pairs as a one-colour witness.
 
     The forest is rooted once (parent and depth per vertex); the hull of a
     set is the union, per forest component, of the tree paths from each
@@ -134,19 +135,8 @@ class HullOracle:
     __slots__ = ("parent", "depth", "comp", "_memo")
 
     def __init__(self, lam: "Lambda"):
-        self._build(lam.host.n, lam.adjacency())
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "HullOracle":
-        adj = [0] * n
-        for u, w in edges:
-            adj[u] |= 1 << w
-            adj[w] |= 1 << u
-        out = cls.__new__(cls)
-        out._build(n, adj)
-        return out
-
-    def _build(self, n: int, adj: list[int]):
+        n = lam.host.n
+        adj = lam.adjacency()
         self.parent = [-1] * n
         self.depth = [0] * n
         self.comp = [-1] * n

@@ -112,6 +112,8 @@ def random_coning(seed: int, steps: int) -> ConingSequence:
     Deterministic for a fixed seed.  Dead ends cannot occur: the full link of
     any vertex is always a valid cone set in a verified instance.
     """
+    if steps < 0:
+        raise ValueError("coning needs steps >= 0")
     rng = random.Random(seed)
     g, lam = base_square()
     base = g

@@ -110,7 +110,6 @@ def spanning_trees(n: int, edges: list[tuple[int, int]]) -> Iterator[frozenset[t
             yield from rec(rest, nverts, chosen)
 
     live = [((u, w), u, w) for u, w in edges]
-    # normalize vertex labels to 0..n-1 just in case
     yield from rec(live, n, [])
 
 
@@ -127,20 +126,11 @@ def _connected(live: list[tuple[tuple[int, int], int, int]], nverts: int) -> boo
     return reach(adj, next(iter(adj)), verts) == verts
 
 
-def _class_complement_edges(g: Graph, cls: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Complement edges inside one bipartition class, relabelled 0..m-1.
-
-    The class is independent in the host, so this is the complete graph on
-    the class; kept general anyway.
-    """
+def _class_complement_edges(cls: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Complement edges inside one bipartition class, relabelled 0..m-1: the
+    class is independent in the host, so every pair of it."""
     verts = bit_list(cls)
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (pos[u], pos[w])
-        for u, w in itertools.combinations(verts, 2)
-        if not g.has_edge(u, w)
-    ]
-    return verts, edges
+    return verts, list(itertools.combinations(range(len(verts)), 2))
 
 
 def _tested_pairs(
@@ -174,8 +164,8 @@ def _tested_pairs(
         return Verdict("no", "oracle", reason="NotBipartite",
                        detail={"odd_walk": [g.names[v] for v in err.odd_walk]},
                        timings_ms=timings)
-    red_verts, red_edges = _class_complement_edges(g, col.red)
-    blue_verts, blue_edges = _class_complement_edges(g, col.blue)
+    red_verts, red_edges = _class_complement_edges(col.red)
+    blue_verts, blue_edges = _class_complement_edges(col.blue)
     n_red = spanning_tree_count(len(red_verts), red_edges)
     n_blue = spanning_tree_count(len(blue_verts), blue_edges)
     total = n_red * n_blue
@@ -192,10 +182,10 @@ def _tested_pairs(
         for t in spanning_trees(len(blue_verts), blue_edges):
             budget.check()
             blue = [(blue_verts[a], blue_verts[b]) for a, b in t]
-            blue_pool.append((blue, HullOracle.from_edges(g.n, blue)))
+            blue_pool.append((blue, HullOracle(Lambda(g, (), tuple(blue)))))
         for rt in spanning_trees(len(red_verts), red_edges):
             red = [(red_verts[a], red_verts[b]) for a, b in rt]
-            red_hull = HullOracle.from_edges(g.n, red).hull
+            red_hull = HullOracle(Lambda(g, tuple(red), ())).hull
             for blue, blue_hulls in blue_pool:
                 budget.check()
                 blue_hull = blue_hulls.hull

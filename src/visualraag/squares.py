@@ -8,9 +8,10 @@ read); R3 and the commuting graph use the same list.  A graph is CFS when
 some component of its diagonal graph has full support (all non-cone
 vertices); strongly CFS additionally requires the diagonal graph to be
 connected.  Both take its components with ``graphs.reach`` and
-``graphs.components``.  Both tests gate the search pipeline, and the
-dismantling search runs the strongly-CFS test on each state from the
-squares it already holds.
+``graphs.components``.  Both tests gate the search pipeline; the
+dismantling search builds the host's diagonal graph once and decides each
+state's strong CFS by restricting it to the state's vertex mask
+(``DiagonalGraph.strongly_cfs``).
 """
 
 from __future__ import annotations
@@ -58,6 +59,35 @@ class DiagonalGraph:
             a, b = self.diagonals[i]
             m |= 1 << a | 1 << b
         return m
+
+    @cached_property
+    def through(self) -> list[int]:
+        """Per host vertex, the mask of the diagonals with an end at it."""
+        out = [0] * self.host.n
+        for i, (a, b) in enumerate(self.diagonals):
+            out[a] |= 1 << i
+            out[b] |= 1 << i
+        return out
+
+    def strongly_cfs(self, active: int) -> bool:
+        """Is the host restricted to ``active`` strongly CFS?
+
+        A square lies inside ``active`` exactly when both its diagonals do,
+        and the induced squares of an induced subgraph are the host's
+        squares inside it; so its diagonal graph is this one on the
+        diagonals inside ``active`` that keep a neighbour there.  It must
+        be non-empty and connected, and its support with the cone
+        vertices must cover ``active``.
+        """
+        inside = (1 << len(self.diagonals)) - 1
+        for v in iter_bits(self.host.full_mask & ~active):
+            inside &= ~self.through[v]
+        adj = self.adj
+        nodes = bits(i for i in iter_bits(inside) if adj[i] & inside)
+        if not nodes or reach(adj, (nodes & -nodes).bit_length() - 1, inside) != nodes:
+            return False
+        corners = self.support_mask(iter_bits(nodes))
+        return corners == active or corners | _cone(self.host, active) == active
 
 
 def induced_squares(g: Graph, active: int | None = None) -> list[Square]:
@@ -156,26 +186,10 @@ def is_strongly_cfs(g: Graph, active: int | None = None, squares: list[Square] |
     """Is g (restricted to ``active``) strongly CFS?
 
     ``squares``, when given, may be any list of g's induced squares holding
-    all those inside ``active``, such as a parent state's.  The squares
-    inside ``active`` must connect their diagonals and, with the cone
-    vertices, cover ``active``; no diagonal graph is built.
+    all those inside ``active``; its diagonal graph is restricted to
+    ``active`` (``DiagonalGraph.strongly_cfs``).
     """
     if active is None:
         active = g.full_mask
-    if squares is None:
-        squares = induced_squares(g, active)
-    inside = []
-    corners = 0
-    for square in squares:
-        (a, b), (c, d) = square
-        m = 1 << a | 1 << b | 1 << c | 1 << d
-        if m & active == m:
-            inside.append(square)
-            corners |= m
-    if not inside:
-        return False
-    _, adj = _diagonal_adjacency(inside)
-    full = (1 << len(adj)) - 1
-    if reach(adj, 0, full) != full:
-        return False
-    return corners == active or corners | _cone(g, active) == active
+    diags, adj = _diagonal_adjacency(induced_squares(g, active) if squares is None else squares)
+    return DiagonalGraph(g, tuple(diags), tuple(adj)).strongly_cfs(active)

@@ -131,6 +131,22 @@ def test_gen_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "wheel", "--n", "0"),
+    ("gen", "coning", "--steps", "-1"),
+])
+def test_gen_bad_size_is_a_usage_error(capsys, argv):
+    # a size the family cannot take must not print some other instance
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_gen_wheel_defaults_to_three(capsys):
+    assert run(capsys, "gen", "wheel") == run(capsys, "gen", "wheel", "--n", "3")
+
+
 def test_gen_tree_family(capsys):
     spec = json.dumps(
         {"vertices": ["a", "b"], "edges": [["a", "b"]], "labels": {"a": 2, "b": 2}}

@@ -98,6 +98,26 @@ def test_intermediates_stay_admissible():
         assert is_strongly_cfs(g, stratum)
 
 
+def test_one_diagonal_graph_per_search(monkeypatch):
+    """The search decides every state's strong CFS from the host's diagonal
+    graph: one build for the CFS gate and one at the search root, however
+    many states it expands."""
+    from visualraag import squares
+
+    builds = []
+    build = squares._diagonal_adjacency
+
+    def counted(sq):
+        builds.append(sq)
+        return build(sq)
+
+    monkeypatch.setattr(squares, "_diagonal_adjacency", counted)
+    stats = DismantleStats()
+    verdict = relative_search(random_coning(seed=101, steps=20).graph, stats=stats)
+    assert verdict.is_yes and stats.states_expanded == 20
+    assert len(builds) <= 2
+
+
 def test_stats_counters_populated():
     stats = DismantleStats()
     list(enumerate_dismantlings(fixtures()["ordermatters"].graph, stats=stats))
