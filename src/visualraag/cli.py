@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import generators
 from .dismantle import Budget, Verdict, forbidden_cycle_check, global_search, relative_search
-from .dl import Lambda, verify_fidl
+from .dl import Lambda, precondition_failures, verify_fidl
 from .graphs import (
     Graph,
     NotBipartiteError,
@@ -168,14 +168,17 @@ def cmd_search(args) -> int:
             )
         _emit(args, payload, lines)
         return EXIT_BUDGET if "budget_exceeded" in (d.decision, o.decision) else _exit_for(d)
-    verdict = next(iter(results.values()))
-    payload = _verdict_payload(args, verdict)
+    return _emit_verdict(args, next(iter(results.values())))
+
+
+def _emit_verdict(args, verdict: Verdict) -> int:
+    """Print one verdict, as JSON or as text lines; returns its exit code."""
     lines = [f"decision: {verdict.decision}"]
     if verdict.reason:
         lines.append(f"reason: {verdict.reason} {verdict.detail}")
     if verdict.lam is not None:
         lines.append(f"witness: {verdict.lam.to_json()}")
-    _emit(args, payload, lines)
+    _emit(args, _verdict_payload(args, verdict), lines)
     return _exit_for(verdict)
 
 
@@ -332,7 +335,12 @@ def _batch_summary(rows: list[dict]) -> dict:
 
 
 def cmd_jsj(args) -> int:
+    """The graph of cylinders; a graph failing the preconditions, which cut
+    finding assumes, is refused as ``search`` refuses it."""
     g = load_graph(args.graph)
+    fails = precondition_failures(g)
+    if fails:
+        return _emit_verdict(args, Verdict.refusal(fails, {}))
     goc = graph_of_cylinders(g)
     if args.dot:
         print(goc.to_dot())

@@ -10,8 +10,9 @@ replaying the removals as conings.
 One backtracking core, ``_dismantle``, with one failure memo, serves both
 ``enumerate_dismantlings`` (every sequence) and ``relative_search`` (the
 first sequence whose steps pass the step condition, checked as each step is
-made); it reads each state's strong CFS off the host's one diagonal graph
-and carries the separating-clique test from each state to its children.
+made); it reads each state's strong CFS off the host's one diagonal graph,
+the CFS gate's in ``relative_search``, and carries the separating-clique
+test from each state to its children.
 ``relative_search`` runs the gate sequence and that search for one graph
 with required witness edges; ``global_search`` adds divide-and-conquer over
 the cuts, which after the gates never cross.  ``check_dagger`` fixes the
@@ -49,7 +50,7 @@ from .graphs import (
     iter_bits,
     n_chords,
 )
-from .squares import CfsStatus, cfs_status, diagonal_graph
+from .squares import CfsStatus, DiagonalGraph, cfs_status, diagonal_graph
 
 
 class BudgetExceeded(Exception):
@@ -265,6 +266,7 @@ Removal = tuple[int, int]
 
 def _dismantle(
     g: Graph,
+    dg: DiagonalGraph,
     required: Sequence[RequiredPair] | None,
     stats: DismantleStats,
     budget: Budget,
@@ -280,10 +282,11 @@ def _dismantle(
     Triangle-freeness and incompleteness hold automatically above the base,
     and the four-vertex terminal state must be a square.
 
-    Strong CFS is read from the root: the host's diagonal graph is built
-    once, and each state's is that graph restricted to the state's mask
-    (``DiagonalGraph.strongly_cfs``).  The separating-clique test is
-    carried from a state to its children.  Lemma: if the state M has no
+    Strong CFS is read off ``dg``, the host's diagonal graph, which the
+    caller builds (``relative_search`` takes the CFS gate's): each state's
+    is that graph restricted to the state's mask
+    (``DiagonalGraph.strongly_cfs``), so the search builds none.  The
+    separating-clique test is carried from a state to its children.  Lemma: if the state M has no
     separating clique and w dominates the satellite x in M, every
     separating clique S of M - x contains w.
     Proof: if w is not in S, the neighbours of x outside S are neighbours of
@@ -324,8 +327,6 @@ def _dismantle(
         pins.setdefault(pair.q, []).append(pair.p)
     admissible_cache: dict[int, bool] = {}
     failed: set = set()
-
-    dg = diagonal_graph(g)
 
     def admissible(rest: int, through: int | None) -> bool:
         got = admissible_cache.get(rest)
@@ -404,7 +405,8 @@ def enumerate_dismantlings(
     dominators (see ``_dismantle``)."""
     if stats is None:
         stats = DismantleStats()
-    for removed in _dismantle(g, None, stats, budget, not has_separating_clique(g)):
+    for removed in _dismantle(g, diagonal_graph(g), None, stats, budget,
+                              not has_separating_clique(g)):
         yield _sequence(g, removed)
 
 
@@ -498,9 +500,10 @@ def record_stage(timings: dict, key: str, t0: float) -> float:
     return now
 
 
-def _gate_verdict(g: Graph, timings: dict, t0: float) -> Verdict | None:
+def _gate_verdict(g: Graph, timings: dict, t0: float) -> Verdict | DiagonalGraph:
     """The strongly-CFS and forbidden-cycle gates, timed from ``t0``: the
-    "no" of the first that fails, or None when both pass."""
+    "no" of the first that fails, or the CFS gate's diagonal graph of ``g``
+    when both pass."""
     cfs = cfs_status(g)
     t0 = record_stage(timings, "cfs", t0)
     if cfs.status is not CfsStatus.STRONGLY_CFS:
@@ -512,7 +515,7 @@ def _gate_verdict(g: Graph, timings: dict, t0: float) -> Verdict | None:
     if obstruction is not None:
         return Verdict("no", "cycles", reason="ForbiddenCycle", detail=obstruction,
                        timings_ms=timings)
-    return None
+    return cfs.diagonal
 
 
 def relative_search(
@@ -525,7 +528,8 @@ def relative_search(
 
     Gates in order: strongly-CFS, forbidden cycles, required pairs acyclic
     and class-consistent; then the first dismantling sequence whose steps
-    pass the step condition.  ``check_dagger`` picks its dominators, and
+    pass the step condition, searched on the CFS gate's diagonal graph, so
+    a "yes" builds one.  ``check_dagger`` picks its dominators, and
     the witness rebuilt from them goes through ``dl.verified`` on ``g``.
     A failed search runs ``enumerate_dismantlings`` once more to tell
     ``NoDismantling`` from ``NoDaggerSequence``.
@@ -540,7 +544,7 @@ def relative_search(
 
     try:
         gated = _gate_verdict(g, timings, t0)
-        if gated is not None:
+        if isinstance(gated, Verdict):
             return gated
         t0 = time.perf_counter()
         bad = _required_pair_obstruction(g, req)
@@ -552,7 +556,7 @@ def relative_search(
         if stats is None:
             stats = DismantleStats()
         # the preconditions ruled out a separating clique of g
-        removed = next(_dismantle(g, req, stats, budget, True), None)
+        removed = next(_dismantle(g, gated, req, stats, budget, True), None)
         if removed is not None:
             seq = check_dagger(_sequence(g, removed), req)
             if isinstance(seq, DaggerFailure):
@@ -640,7 +644,7 @@ def global_search(g: Graph, budget: Budget = Budget()) -> Verdict:
         return replace(verdict, timings_ms=timings)
 
     gated = _gate_verdict(g, timings, t0)
-    if gated is not None:
+    if isinstance(gated, Verdict):
         return gated
     t0 = time.perf_counter()
     pairs = list(dict.fromkeys(cut.pair for cut in jsj.find_cuts(g)))

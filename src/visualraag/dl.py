@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 from .graphs import (
     Graph,
     NotBipartiteError,
+    bfs_forest,
     bipartition,
     bits,
     find_edge_cycle,
@@ -127,38 +128,20 @@ class HullOracle:
     """Hull computations for one witness, with memoized queries; the oracle
     passes each spanning tree it pairs as a one-colour witness.
 
-    The forest is rooted once (parent and depth per vertex); the hull of a
-    set is the union, per forest component, of the tree paths from each
-    member to the first member, computed by depth-aligned upward walks.
+    The forest is rooted once by ``graphs.bfs_forest`` (parent and depth
+    per vertex, ``comp`` the root of each); the hull of a set is the union,
+    per forest component, of the tree paths from each member to the first
+    member, computed by depth-aligned upward walks.
     """
 
     __slots__ = ("parent", "depth", "comp", "_memo")
 
     def __init__(self, lam: "Lambda"):
-        n = lam.host.n
-        adj = lam.adjacency()
-        self.parent = [-1] * n
-        self.depth = [0] * n
-        self.comp = [-1] * n
-        cid = 0
-        seen = 0
-        for v in range(n):
-            if adj[v] == 0 or seen >> v & 1:
-                continue
-            self.comp[v] = cid
-            seen |= 1 << v
-            frontier = [v]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in iter_bits(adj[u] & ~seen):
-                        seen |= 1 << w
-                        self.parent[w] = u
-                        self.depth[w] = self.depth[u] + 1
-                        self.comp[w] = cid
-                        nxt.append(w)
-                frontier = nxt
-            cid += 1
+        parent, self.depth, order = bfs_forest(lam.adjacency())
+        comp = [0] * len(parent)
+        for v in order:
+            comp[v] = v if parent[v] < 0 else comp[parent[v]]
+        self.parent, self.comp = parent, comp
         self._memo: dict[int, int] = {}
 
     def _path_mask(self, u: int, w: int) -> int:
@@ -186,9 +169,7 @@ class HullOracle:
         hull = smask
         groups: dict[int, list[int]] = {}
         for v in iter_bits(smask):
-            c = self.comp[v]
-            if c >= 0:
-                groups.setdefault(c, []).append(v)
+            groups.setdefault(self.comp[v], []).append(v)
         for vs in groups.values():
             if len(vs) >= 2:
                 r = vs[0]

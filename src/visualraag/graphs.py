@@ -6,7 +6,8 @@ as bitmasks, which makes link-containment and separator checks single
 machine-word operations for the graph sizes this package targets.
 ``reach`` and ``components`` walk any graph given by neighbour masks; they
 are the package's one connectivity walk, used for hosts, diagonal graphs,
-witness forests and trees alike.
+witness forests and trees alike; ``bfs_forest`` is its one walk with parent
+pointers, behind both the 2-colouring and the witness hulls.
 
 All functions here are pure; a Graph never mutates after construction, so
 everything is safe for concurrent reads.
@@ -280,49 +281,65 @@ def has_separating_clique(g: Graph, active: int | None = None, through: int | No
     return False
 
 
-def bipartition(g: Graph) -> TwoColoring:
-    """Proper 2-coloring with the first vertex of each component red.
+def bfs_forest(adj: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first forest of the graph ``adj``: (parent, depth, order).
 
-    Raises NotBipartiteError with an odd closed walk when impossible.
+    Each component is rooted at its lowest unreached vertex, neighbours are
+    scanned in increasing order and queued first in, first out.  ``parent``
+    is -1 at a root; ``order`` lists the vertices as they were reached.
     """
-    red = blue = 0
-    parent: dict[int, int | None] = {}
-    for comp in g.components(g.full_mask):
-        root = (comp & -comp).bit_length() - 1
-        red |= 1 << root
-        parent[root] = None
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                v_red = red >> v & 1
-                for w in iter_bits(g.adj[v]):
-                    if (red | blue) >> w & 1:
-                        if bool(red >> w & 1) == bool(v_red):
-                            walk = _odd_walk(parent, v, w)
-                            raise NotBipartiteError(walk)
-                        continue
-                    parent[w] = v
-                    if v_red:
-                        blue |= 1 << w
-                    else:
-                        red |= 1 << w
-                    nxt.append(w)
-            frontier = nxt
-    return TwoColoring(red, blue)
+    n = len(adj)
+    parent, depth, order = [-1] * n, [0] * n, []
+    unreached = (1 << n) - 1
+    head = 0
+    while unreached:  # once every vertex is reached, the queue adds nothing
+        if head == len(order):
+            low = unreached & -unreached
+            unreached ^= low
+            order.append(low.bit_length() - 1)
+        u = order[head]
+        head += 1
+        new = adj[u] & unreached
+        unreached ^= new
+        d = depth[u] + 1
+        while new:
+            low = new & -new
+            w = low.bit_length() - 1
+            parent[w], depth[w] = u, d
+            order.append(w)
+            new ^= low
+    return parent, depth, order
 
 
-def _odd_walk(parent: dict[int, int | None], v: int, w: int) -> list[int]:
-    """Closed odd walk through the offending edge v-w, via BFS-tree paths."""
+def bipartition(g: Graph) -> TwoColoring:
+    """Proper 2-coloring with the first vertex of each component red: the
+    even-depth vertices of ``bfs_forest``.
+
+    Raises NotBipartiteError with an odd closed walk when impossible:
+    through the first vertex v in the forest's order with a neighbour of
+    its own parity, and the lowest such neighbour.
+    """
+    parent, depth, order = bfs_forest(g.adj)
+    red = bits(v for v in order if not depth[v] & 1)
+    for v in order:
+        clash = g.adj[v] & (red if red >> v & 1 else ~red)
+        if clash:
+            raise NotBipartiteError(_odd_walk(parent, v, (clash & -clash).bit_length() - 1))
+    return TwoColoring(red, g.full_mask & ~red)
+
+
+def _odd_walk(parent: list[int], v: int, w: int) -> list[int]:
+    """Closed odd walk through the offending edge v-w, via BFS-tree paths;
+    v and w are adjacent, so both paths end at one root."""
 
     def path_to_root(x: int) -> list[int]:
         out = [x]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])  # type: ignore[arg-type]
+        while parent[out[-1]] >= 0:
+            out.append(parent[out[-1]])
         return out
 
     pv, pw = path_to_root(v), path_to_root(w)
-    return list(reversed(pv)) + pw[:-1] if pv[-1] == pw[-1] else pv + pw
+    return pv[::-1] + pw[:-1]
 
 
 def satellites(g: Graph, strict: bool = False) -> list[tuple[int, int]]:

@@ -83,22 +83,14 @@ def cuts_through(g: Graph, mask: int, pairs: Iterable[tuple[int, int]]) -> list[
 def crosses(g: Graph, k1: Cut, k2: Cut) -> bool:
     """Is k1 crossed by k2?
 
-    Pairs cross pairs (disjoint, k2 separates k1's vertices); triples cross
-    triples (same midpoint, k2 separates k1's defining pair).  Mixed kinds
-    never cross.
+    Pairs cross pairs (k2 separates k1's vertices); triples cross triples
+    (same midpoint, k2 separates k1's defining pair).  Mixed kinds never
+    cross.  ``_separates_pair`` rules out a k1 vertex on k2, so crossing
+    pairs are disjoint and crossing triples span five vertices.
     """
-    if k1.is_pair != k2.is_pair:
+    if k1.is_pair != k2.is_pair or not k1.is_pair and k1.vertices[2] != k2.vertices[2]:
         return False
-    if k1.is_pair:
-        if bits(k1.vertices) & bits(k2.vertices):
-            return False
-    else:
-        if k1.vertices[2] != k2.vertices[2]:
-            return False
-        if len({*k1.vertices, *k2.vertices}) != 5:
-            return False
-    ca, cb = k2.component_of(k1.vertices[0]), k2.component_of(k1.vertices[1])
-    return ca is not None and cb is not None and ca != cb
+    return _separates_pair(k2, k1.vertices[0], k1.vertices[1])
 
 
 def crossing_pair(g: Graph, cuts: Sequence[Cut]) -> tuple[Cut, Cut] | None:

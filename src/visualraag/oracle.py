@@ -13,9 +13,10 @@ as budget refusals instead of hanging.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .dl import (
     HullOracle,
@@ -126,16 +127,9 @@ def _connected(live: list[tuple[tuple[int, int], int, int]], nverts: int) -> boo
     return reach(adj, next(iter(adj)), verts) == verts
 
 
-def _class_complement_edges(cls: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Complement edges inside one bipartition class, relabelled 0..m-1: the
-    class is independent in the host, so every pair of it."""
-    verts = bit_list(cls)
-    return verts, list(itertools.combinations(range(len(verts)), 2))
-
-
 def _tested_pairs(
     g: Graph, limits: OracleLimits, timings: dict
-) -> Verdict | tuple[int, float, Iterator[tuple[list, list, bool]]]:
+) -> Verdict | tuple[int, float, Iterator[tuple[tuple, tuple, bool]]]:
     """The one loop of ``naive_search`` and ``count_all_fidl``.
 
     Runs the preconditions (stage ``preconditions`` of ``timings``) and the
@@ -147,11 +141,13 @@ def _tested_pairs(
     complement is complete on each, so each has a spanning tree.  Returns
     the verdict of the first gate that decides, or the number of tree pairs,
     the start of the ``oracle`` stage and a generator that checks the budget
-    once per tree of the pool and once per pair, and yields (red edges, blue
-    edges, passed) for each tree pair in order; passed means
-    ``r3_violation`` and then ``r4_violation`` find nothing, on squares and
-    cycles listed once.  A pair's hull joins the two trees' prebuilt hull
-    oracles, whose memoized answers last across every pairing.
+    once per tree and once per pair, and yields (red edges, blue edges,
+    passed) for each tree pair in order; passed means ``r3_violation`` and
+    then ``r4_violation`` find nothing, on squares and cycles listed once.
+    One generator, ``trees``, yields each class's spanning trees with their
+    hull oracles; the blue pool is built whole before the first pair, and
+    the red trees are walked one at a time.  A pair's hull joins the two
+    trees' hull oracles, whose memoized answers last across every pairing.
     """
     t0 = time.perf_counter()
     fails = precondition_failures(g)
@@ -164,11 +160,8 @@ def _tested_pairs(
         return Verdict("no", "oracle", reason="NotBipartite",
                        detail={"odd_walk": [g.names[v] for v in err.odd_walk]},
                        timings_ms=timings)
-    red_verts, red_edges = _class_complement_edges(col.red)
-    blue_verts, blue_edges = _class_complement_edges(col.blue)
-    n_red = spanning_tree_count(len(red_verts), red_edges)
-    n_blue = spanning_tree_count(len(blue_verts), blue_edges)
-    total = n_red * n_blue
+    total = math.prod(spanning_tree_count(m, list(itertools.combinations(range(m), 2)))
+                      for m in (col.red.bit_count(), col.blue.bit_count()))
     if total > limits.max_tree_pairs:
         return Verdict("budget_exceeded", "oracle", reason="BudgetExceeded",
                        detail={"tree_pairs": total, "cap": limits.max_tree_pairs},
@@ -177,18 +170,21 @@ def _tested_pairs(
     cycles = list(induced_cycles(g))
     budget = Budget.from_seconds(limits.seconds)
 
-    def pairs() -> Iterator[tuple[list, list, bool]]:
-        blue_pool = []
-        for t in spanning_trees(len(blue_verts), blue_edges):
+    def trees(cls: int) -> Iterator[tuple[tuple, Callable[[int], int]]]:
+        # the class is independent in the host: its complement is complete;
+        # a hull oracle reads only the forest, so the tree's colour is moot
+        verts = bit_list(cls)
+        m = len(verts)
+        for t in spanning_trees(m, list(itertools.combinations(range(m), 2))):
             budget.check()
-            blue = [(blue_verts[a], blue_verts[b]) for a, b in t]
-            blue_pool.append((blue, HullOracle(Lambda(g, (), tuple(blue)))))
-        for rt in spanning_trees(len(red_verts), red_edges):
-            red = [(red_verts[a], red_verts[b]) for a, b in rt]
-            red_hull = HullOracle(Lambda(g, tuple(red), ())).hull
-            for blue, blue_hulls in blue_pool:
+            edges = tuple((verts[a], verts[b]) for a, b in t)
+            yield edges, HullOracle(Lambda(g, edges, ())).hull
+
+    def pairs() -> Iterator[tuple[tuple, tuple, bool]]:
+        blue_pool = list(trees(col.blue))
+        for red, red_hull in trees(col.red):
+            for blue, blue_hull in blue_pool:
                 budget.check()
-                blue_hull = blue_hulls.hull
                 hull = lambda m: m | red_hull(m & col.red) | blue_hull(m & col.blue)
                 yield red, blue, (r3_violation(g, squares, hull) is None
                                   and r4_violation(g, cycles, hull) is None)

@@ -9,9 +9,9 @@ some component of its diagonal graph has full support (all non-cone
 vertices); strongly CFS additionally requires the diagonal graph to be
 connected.  Both take its components with ``graphs.reach`` and
 ``graphs.components``.  Both tests gate the search pipeline; the
-dismantling search builds the host's diagonal graph once and decides each
-state's strong CFS by restricting it to the state's vertex mask
-(``DiagonalGraph.strongly_cfs``).
+dismantling search takes the diagonal graph the CFS gate built
+(``CfsReport.diagonal``) and decides each state's strong CFS by restricting
+it to the state's vertex mask (``DiagonalGraph.strongly_cfs``).
 """
 
 from __future__ import annotations

@@ -255,6 +255,27 @@ def test_jsj_crossing_flag(capsys, tmp_path):
     assert json.loads(out)["hanging"] is True
 
 
+@pytest.mark.parametrize("graph, failure", [
+    # the path a-b-c-d-e: its cut vertices are separating cliques
+    ('{"vertices": ["a","b","c","d","e"],'
+     ' "edges": [["a","b"],["b","c"],["c","d"],["d","e"]]}', "graph has a separating clique"),
+    ('{"vertices": ["a","b","c"], "edges": [["a","b"],["b","c"],["a","c"]]}',
+     "graph has a triangle"),
+], ids=["path", "triangle"])
+def test_jsj_refuses_graphs_failing_the_preconditions(capsys, tmp_path, graph, failure):
+    p = tmp_path / "g.json"
+    p.write_text(graph)
+    code, out = run(capsys, "--format", "json", "jsj", str(p))
+    data = json.loads(out)
+    assert code == 2
+    assert data["decision"] == "refused" and data["reason"] == "PreconditionFailed"
+    assert failure in data["detail"]["failures"]
+    code, out = run(capsys, "jsj", str(p))
+    assert code == 2 and out.startswith("decision: refused")
+    code, out = run(capsys, "jsj", str(p), "--dot")
+    assert code == 2 and "cylinders" not in out
+
+
 def test_parse_error_exit(capsys, tmp_path):
     p = tmp_path / "junk.json"
     p.write_text("{not json")

@@ -118,6 +118,24 @@ def test_one_diagonal_graph_per_search(monkeypatch):
     assert len(builds) <= 2
 
 
+def test_relative_search_takes_the_cfs_gates_diagonal_graph(monkeypatch):
+    """A "yes" builds the host's diagonal graph once, in the CFS gate, and
+    the search restricts that one."""
+    from visualraag import squares
+
+    builds = []
+    build = squares._diagonal_adjacency
+
+    def counted(sq):
+        builds.append(sq)
+        return build(sq)
+
+    monkeypatch.setattr(squares, "_diagonal_adjacency", counted)
+    verdict = relative_search(random_coning(seed=101, steps=20).graph)
+    assert verdict.is_yes
+    assert len(builds) == 1
+
+
 def test_stats_counters_populated():
     stats = DismantleStats()
     list(enumerate_dismantlings(fixtures()["ordermatters"].graph, stats=stats))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from visualraag.graphs import (
     Graph,
     NotBipartiteError,
+    bfs_forest,
     bipartition,
     bit_list,
     bits,
@@ -443,3 +444,34 @@ def test_reach_and_components_match_networkx_on_random_masks():
         for v in bit_list(active):
             assert reach(g.adj, v, active) == bits(nx.node_connected_component(h, v))
         assert g.is_connected_mask(active) == (len(want) <= 1)
+
+
+def test_bfs_forest_on_a_disconnected_graph():
+    # 0-3, 0-4, 3-1, 4-1 (1 is reached from 3, queued before 4), 2-5, and 6 alone
+    g = Graph.from_int_edges(7, [(0, 3), (0, 4), (3, 1), (4, 1), (2, 5)])
+    parent, depth, order = bfs_forest(g.adj)
+    assert order == [0, 3, 4, 1, 2, 5, 6]
+    assert parent == [-1, 3, -1, 0, 0, 2, -1]
+    assert depth == [0, 2, 0, 1, 1, 1, 0]
+
+
+@given(st.integers(1, 12), st.floats(0, 1))
+@settings(max_examples=80)
+def test_bfs_forest_roots_and_tree_edges(n, p):
+    g = random_graph(random.Random(int(p * 1000) + n), n, p)
+    parent, depth, order = bfs_forest(g.adj)
+    assert sorted(order) == list(range(n))
+    lowest = {v: (c & -c).bit_length() - 1 for c in components(g.adj, g.full_mask)
+              for v in bit_list(c)}
+    nxg = to_networkx(g)
+    for w in range(n):
+        root = w
+        while parent[root] >= 0:
+            root = parent[root]
+        assert root == lowest[w]
+        assert depth[w] == nx.shortest_path_length(nxg, root, w)
+        if parent[w] >= 0:
+            assert g.has_edge(w, parent[w])
+            assert depth[w] == depth[parent[w]] + 1
+        else:
+            assert w == root and depth[w] == 0
