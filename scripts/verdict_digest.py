@@ -43,7 +43,10 @@ Families:
   (at most 2,000 per graph) with its ``DismantleStats``; then the
   ``DismantleStats`` of ``relative_search`` on the sweep, with no required
   pair and with each single required non-edge.  Search order and pruning
-  reach the digest, not only a search's first sequence.
+  reach the digest, not only a search's first sequence;
+- sweep/global-required: the sweep with ``global_search`` and each single
+  required non-edge, so required pairs that go through the split are
+  covered.
 """
 
 import contextlib
@@ -193,6 +196,9 @@ def families():
     yield "dismantlings", itertools.chain(
         (_dismantlings(g) for g in sweep + [f.graph for f in fx.values()] + small_coning),
         (_relative_stats(g, req) for g in sweep for req in _non_edge_requirements(g)),
+    )
+    yield "sweep/global-required", (
+        _verdict(global_search(g, req)) for g in sweep for req in _non_edge_requirements(g)[1:]
     )
 
 

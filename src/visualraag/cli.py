@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import generators
-from .dismantle import Budget, Verdict, forbidden_cycle_check, global_search, relative_search
+from .dismantle import Budget, Verdict, forbidden_cycle_check, global_search
 from .dl import Lambda, precondition_failures, verify_fidl
 from .graphs import (
     Graph,
@@ -119,6 +119,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_search(args) -> int:
+    """Decide one graph with ``global_search``, the oracle or both; required
+    pairs go to ``global_search`` alone, and are refused with any other
+    engine before either runs."""
+    engine = args.engine
+    if args.require and engine != "dismantle":
+        raise CliError("--require is only supported by the dismantling engine")
     g = load_graph(args.graph)
     required = []
     for spec in args.require or []:
@@ -127,18 +133,10 @@ def cmd_search(args) -> int:
             required.append((g.vertex_id(a.strip()), g.vertex_id(b.strip())))
         except (ValueError, KeyError) as exc:
             raise CliError(f"bad --require {spec!r}: {exc}") from exc
-    engine = args.engine
     results: dict[str, Verdict] = {}
     if engine in ("dismantle", "both"):
-        if required:
-            results["dismantle"] = relative_search(
-                g, required, budget=Budget.from_seconds(args.timeout)
-            )
-        else:
-            results["dismantle"] = global_search(g, budget=Budget.from_seconds(args.timeout))
+        results["dismantle"] = global_search(g, required, Budget.from_seconds(args.timeout))
     if engine in ("oracle", "both"):
-        if required:
-            raise CliError("--require is only supported by the dismantling engine")
         results["oracle"] = naive_search(g, OracleLimits(seconds=args.timeout))
     if engine == "both":
         d, o = results["dismantle"], results["oracle"]

@@ -13,11 +13,12 @@ first sequence whose steps pass the step condition, checked as each step is
 made); it reads each state's strong CFS off the host's one diagonal graph,
 the CFS gate's in ``relative_search``, and carries the separating-clique
 test from each state to its children.
-``relative_search`` runs the gate sequence and that search for one graph
-with required witness edges; ``global_search`` adds divide-and-conquer over
-the cuts, which after the gates never cross.  ``check_dagger`` fixes the
-dominators of every witness, and every "yes" goes through ``dl.verified``
-on the graph it answers for.
+``global_search``, the one entry point, runs the gates of
+``_gate_verdict`` once and divides and conquers over the cuts, which after
+the gates never cross, carrying the required witness edges down the split;
+``relative_search``, its leaf solver, runs the same gates and that search
+on one whole graph.  ``check_dagger`` fixes the dominators of every witness,
+and every "yes" goes through ``dl.verified`` on the graph it answers for.
 """
 
 from __future__ import annotations
@@ -128,22 +129,6 @@ class DismantlingSequence:
             "base": [self.host.names[v] for v in iter_bits(self.base)],
             "steps": [s.to_json_dict(self.host) for s in self.steps],
         }
-
-
-@dataclass(frozen=True)
-class RequiredPair:
-    """An unordered vertex pair demanded as a witness edge."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p == self.q:
-            raise ValueError("required pair must have distinct vertices")
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.p, self.q) if self.p < self.q else (self.q, self.p)
 
 
 @dataclass(frozen=True)
@@ -267,7 +252,7 @@ Removal = tuple[int, int]
 def _dismantle(
     g: Graph,
     dg: DiagonalGraph,
-    required: Sequence[RequiredPair] | None,
+    required: Sequence[tuple[int, int]] | None,
     stats: DismantleStats,
     budget: Budget,
     clean_root: bool,
@@ -322,9 +307,9 @@ def _dismantle(
     """
     checked = required is not None
     pins: dict[int, list[int]] = {}
-    for pair in required or ():
-        pins.setdefault(pair.p, []).append(pair.q)
-        pins.setdefault(pair.q, []).append(pair.p)
+    for p, q in required or ():
+        pins.setdefault(p, []).append(q)
+        pins.setdefault(q, []).append(p)
     admissible_cache: dict[int, bool] = {}
     failed: set = set()
 
@@ -421,7 +406,7 @@ class DaggerFailure:
 
 
 def check_dagger(
-    seq: DismantlingSequence, required: Sequence[RequiredPair] = ()
+    seq: DismantlingSequence, required: Sequence[tuple[int, int]] = ()
 ) -> DismantlingSequence | DaggerFailure:
     """Per-step feasibility: for step i the dominating vertex must lie in the
     candidate set intersected with every later cone set that contains x_{i+1}
@@ -451,12 +436,12 @@ def check_dagger(
     stage = {}
     for i, step in enumerate(seq.steps):
         stage[step.x] = i
-    for pair in required:
-        ip = stage.get(pair.p, -1)
-        iq = stage.get(pair.q, -1)
+    for p, q in required:
+        ip = stage.get(p, -1)
+        iq = stage.get(q, -1)
         if ip < 0 and iq < 0:
             continue  # both in the base square: they are its diagonals
-        later, earlier = (pair.q, pair.p) if iq > ip else (pair.p, pair.q)
+        earlier = p if iq > ip else q
         i = max(ip, iq)
         if i in forced and forced[i] != earlier:
             return DaggerFailure(i, feasible[i], (forced[i], earlier))
@@ -500,10 +485,18 @@ def record_stage(timings: dict, key: str, t0: float) -> float:
     return now
 
 
-def _gate_verdict(g: Graph, timings: dict, t0: float) -> Verdict | DiagonalGraph:
-    """The strongly-CFS and forbidden-cycle gates, timed from ``t0``: the
-    "no" of the first that fails, or the CFS gate's diagonal graph of ``g``
-    when both pass."""
+def _gate_verdict(
+    g: Graph, req: list[tuple[int, int]], timings: dict, t0: float
+) -> Verdict | DiagonalGraph:
+    """The gates of both searches in order, each timed from ``t0``:
+    preconditions, strongly CFS, forbidden cycles, then, when pairs are
+    required, required pairs class-consistent and acyclic.  Returns the
+    verdict of the first that fails, or the CFS gate's diagonal graph of
+    ``g`` when all pass."""
+    fails = precondition_failures(g)
+    t0 = record_stage(timings, "preconditions", t0)
+    if fails:
+        return Verdict.refusal(fails, timings)
     cfs = cfs_status(g)
     t0 = record_stage(timings, "cfs", t0)
     if cfs.status is not CfsStatus.STRONGLY_CFS:
@@ -511,50 +504,47 @@ def _gate_verdict(g: Graph, timings: dict, t0: float) -> Verdict | DiagonalGraph
                        detail={"status": cfs.status.value, "diagnostic": cfs.diagnostic},
                        timings_ms=timings)
     obstruction = forbidden_cycle_check(g)
-    record_stage(timings, "cycles", t0)
+    t0 = record_stage(timings, "cycles", t0)
     if obstruction is not None:
         return Verdict("no", "cycles", reason="ForbiddenCycle", detail=obstruction,
                        timings_ms=timings)
+    if req:
+        bad = _required_pair_obstruction(g, req)
+        record_stage(timings, "required_pairs", t0)
+        if bad is not None:
+            reason, detail = bad
+            return Verdict("no", "required_pairs", reason=reason, detail=detail,
+                           timings_ms=timings)
     return cfs.diagonal
 
 
 def relative_search(
     g: Graph,
-    required: Sequence[RequiredPair | tuple[int, int]] = (),
+    required: Sequence[tuple[int, int]] = (),
     budget: Budget = Budget(),
     stats: DismantleStats | None = None,
 ) -> Verdict:
-    """Find a witness containing every required pair, or decide none exists.
+    """Find a witness of the whole graph ``g`` containing every required
+    pair, or decide none exists: the leaf solver of ``global_search``, and
+    the whole-graph reference it is tested against.
 
-    Gates in order: strongly-CFS, forbidden cycles, required pairs acyclic
-    and class-consistent; then the first dismantling sequence whose steps
-    pass the step condition, searched on the CFS gate's diagonal graph, so
-    a "yes" builds one.  ``check_dagger`` picks its dominators, and
-    the witness rebuilt from them goes through ``dl.verified`` on ``g``.
+    After the gates (``_gate_verdict``), the first dismantling sequence whose
+    steps pass the step condition, searched on the CFS gate's diagonal
+    graph, so a "yes" builds one.  ``check_dagger`` picks its dominators,
+    and the witness rebuilt from them goes through ``dl.verified`` on ``g``.
     A failed search runs ``enumerate_dismantlings`` once more to tell
     ``NoDismantling`` from ``NoDaggerSequence``.
     """
     timings: dict = {}
     t0 = time.perf_counter()
     req = _normalize_required(g, required)
-    fails = precondition_failures(g)
-    t0 = record_stage(timings, "preconditions", t0)
-    if fails:
-        return Verdict.refusal(fails, timings)
-
+    gated = _gate_verdict(g, req, timings, t0)
+    if isinstance(gated, Verdict):
+        return gated
+    t0 = time.perf_counter()
+    if stats is None:
+        stats = DismantleStats()
     try:
-        gated = _gate_verdict(g, timings, t0)
-        if isinstance(gated, Verdict):
-            return gated
-        t0 = time.perf_counter()
-        bad = _required_pair_obstruction(g, req)
-        t0 = record_stage(timings, "required_pairs", t0)
-        if bad is not None:
-            reason, detail = bad
-            return Verdict("no", "required_pairs", reason=reason, detail=detail,
-                           timings_ms=timings)
-        if stats is None:
-            stats = DismantleStats()
         # the preconditions ruled out a separating clique of g
         removed = next(_dismantle(g, gated, req, stats, budget, True), None)
         if removed is not None:
@@ -577,79 +567,76 @@ def relative_search(
                        timings_ms=timings)
 
 
-def _normalize_required(
-    g: Graph, required: Sequence[RequiredPair | tuple[int, int]]
-) -> list[RequiredPair]:
-    seen: set[tuple[int, int]] = set()
-    out: list[RequiredPair] = []
-    for item in required:
-        pair = item if isinstance(item, RequiredPair) else RequiredPair(*item)
-        if g.has_edge(pair.p, pair.q):
-            raise ValueError(
-                f"required pair {g.names[pair.p]}-{g.names[pair.q]} is an edge of the graph"
-            )
-        if pair.key not in seen:
-            seen.add(pair.key)
-            out.append(RequiredPair(*pair.key))
-    return out
+def _normalize_required(g: Graph, required: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The required pairs sorted, in first-seen order, without repeats;
+    ValueError for a pair of one vertex or an edge of ``g``."""
+    out: dict[tuple[int, int], None] = {}
+    for p, q in required:
+        if p == q:
+            raise ValueError("required pair must have distinct vertices")
+        if g.has_edge(p, q):
+            raise ValueError(f"required pair {g.names[p]}-{g.names[q]} is an edge of the graph")
+        out[(p, q) if p < q else (q, p)] = None
+    return list(out)
 
 
-def _required_pair_obstruction(g: Graph, req: list[RequiredPair]) -> tuple[str, dict] | None:
+def _required_pair_obstruction(
+    g: Graph, req: list[tuple[int, int]]
+) -> tuple[str, dict] | None:
     """(reason, detail) when the required pairs cannot all be witness edges."""
-    if not req:
-        return None
     col = bipartition(g)  # bipartite: the cycle gate already passed
-    for pair in req:
-        if not col.same_class(pair.p, pair.q):
-            return "RequiredPairMixedClasses", {"pair": [g.names[pair.p], g.names[pair.q]]}
+    for p, q in req:
+        if not col.same_class(p, q):
+            return "RequiredPairMixedClasses", {"pair": [g.names[p], g.names[q]]}
     adj: dict[int, set[int]] = {}
-    for pair in req:
-        adj.setdefault(pair.p, set()).add(pair.q)
-        adj.setdefault(pair.q, set()).add(pair.p)
+    for p, q in req:
+        adj.setdefault(p, set()).add(q)
+        adj.setdefault(q, set()).add(p)
     cycle = find_edge_cycle(adj)
     if cycle is not None:
         return "RequiredPairCycle", {"cycle": [g.names[v] for v in cycle]}
     return None
 
 
-def global_search(g: Graph, budget: Budget = Budget()) -> Verdict:
-    """Decide witness existence for a whole graph.
+def global_search(
+    g: Graph, required: Sequence[tuple[int, int]] = (), budget: Budget = Budget()
+) -> Verdict:
+    """Decide whether ``g`` has a witness containing every required pair:
+    the one dismantling entry point.
 
-    Pipeline: preconditions; square base case; strongly-CFS and forbidden
-    cycle gates; the cuts, found once; then divide and conquer over them,
-    solving each piece relative to the cut pairs it contains and assembling
-    the partial witnesses; common neighbors of a cut pair are cylinder
-    vertices, covered at assembly.  Splitting, the paper's decomposition,
-    gives the assembled witness; whole-graph relative search is still
-    faster on coning graphs.  A "yes" goes through ``dl.verified`` on ``g``
-    exactly once, here for an assembled witness and in ``relative_search``
-    otherwise.  A deadline hit in any leaf search comes back as that
-    leaf's "budget_exceeded" verdict.  The timings are this function's own
-    stages; ``search`` includes the nested searches.
+    Pipeline: the square base case, handed to ``relative_search``; the
+    gates of ``_gate_verdict``, run once on the whole graph, where a cycle
+    of required pairs spread over two parts shows; the cuts, found once;
+    then divide and conquer over them, solving each piece relative to the
+    required and cut pairs it contains and assembling the partial
+    witnesses; common neighbors of a cut pair are cylinder vertices,
+    covered at assembly.  Splitting, the paper's decomposition, gives the
+    assembled witness; whole-graph relative search is still faster on
+    coning graphs, but exponential on "no" graphs that split.  A "yes" goes
+    through ``dl.verified`` on ``g`` exactly once, here for an assembled
+    witness and in ``relative_search`` otherwise.  A deadline hit in any
+    leaf search comes back as that leaf's "budget_exceeded" verdict.  The
+    timings are this function's own stages; ``search`` includes the nested
+    searches.
 
     No crossed-cut gate is needed.  Lemma (README, "Why the split needs no
     guards"): a triangle-free graph on five or more vertices with no
     separating clique that is strongly CFS has no two crossing cuts.
     """
+    if g.n == 4:
+        # a four-vertex input is the square, solved by its diagonals, or is
+        # refused by the preconditions; relative_search gates it either way
+        return relative_search(g, required, budget)
     timings: dict = {}
     t0 = time.perf_counter()
-    fails = precondition_failures(g)
-    t0 = record_stage(timings, "preconditions", t0)
-    if fails:
-        return Verdict.refusal(fails, timings)
-    if g.n == 4:
-        # the only valid four-vertex input is the square: solved by its diagonals
-        verdict = relative_search(g, (), budget)
-        record_stage(timings, "search", t0)
-        return replace(verdict, timings_ms=timings)
-
-    gated = _gate_verdict(g, timings, t0)
+    req = _normalize_required(g, required)
+    gated = _gate_verdict(g, req, timings, t0)
     if isinstance(gated, Verdict):
         return gated
     t0 = time.perf_counter()
     pairs = list(dict.fromkeys(cut.pair for cut in jsj.find_cuts(g)))
     t0 = record_stage(timings, "jsj", t0)
-    verdict = _solve_with_splitting(g, g.full_mask, pairs, budget, ())
+    verdict = _solve_with_splitting(g, g.full_mask, pairs, budget, tuple(req))
     report = verdict.report
     if verdict.is_yes and report is None:
         report = verified(g, verdict.lam)
@@ -665,9 +652,11 @@ def _solve_with_splitting(
     required: tuple[tuple[int, int], ...],
 ) -> Verdict:
     """Recursive split/solve/assemble of the part ``mask`` of ``g``, in the
-    host's vertex ids, at the first cut that tears no required pair (each
-    lies inside one part, a component plus the cut vertices); relative
-    search on the part, built as a graph, when every cut tears one.  Lemma
+    host's vertex ids, at the first cut that tears no ``required`` pair
+    (each lies inside one part, a component plus the cut vertices):
+    ``global_search``'s pairs at the top, then each part's pairs plus its
+    cut's pair.  ``relative_search`` on the part, built as a graph, when
+    every cut tears one.  Lemma
     (README, "Why the split needs no guards", L3): every such cut runs
     through one of the host's cut ``pairs``, so only those are tested.
 
@@ -676,8 +665,10 @@ def _solve_with_splitting(
     neighbor of the cut pair, a cylinder vertex that ``jsj.assemble_lambdas``
     covers.  Lemma (README, L2): such a part of a graph that passes the
     preconditions and both gates passes them too, so no part is checked for
-    a separating clique, and by L1 no part's cuts cross.  An assembled "yes"
-    carries no report: the caller verifies the final witness once.
+    a separating clique, and by L1 no part's cuts cross; ``relative_search``
+    still runs the gates again on every part it solves, and L2 is why they
+    pass there.  An assembled "yes" carries no report: the caller verifies
+    the final witness once.
     """
     for cut in jsj.cuts_through(g, mask, pairs):
         parts = [comp | cut.mask for comp in cut.components]

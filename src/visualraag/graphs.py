@@ -412,16 +412,13 @@ def find_edge_cycle(adj: dict[int, set[int]]) -> list[int] | None:
     return None
 
 
-def induced_cycles(g: Graph, max_len: int | None = None) -> Iterator[list[int]]:
+def induced_cycles(g: Graph) -> Iterator[list[int]]:
     """Chordless cycles, each yielded once up to rotation and reflection.
 
     DFS from the smallest cycle vertex; a path extends only by vertices
     adjacent to nothing on the path except its last vertex, so every closed
-    walk found is induced.  Unbounded enumeration is exponential in general.
+    walk found is induced.  Enumeration is exponential in general.
     """
-    if max_len is not None and max_len < 3:
-        return
-
     def extend(path: list[int], blocked: int) -> Iterator[list[int]]:
         # blocked: the start and every vertex below it, the path, and the
         # neighbours of the path's inner vertices
@@ -431,8 +428,6 @@ def induced_cycles(g: Graph, max_len: int | None = None) -> Iterator[list[int]]:
             # the chord start-last, so close (canonically) and stop.
             if path[1] < last:
                 yield list(path)
-            return
-        if max_len is not None and len(path) >= max_len:
             return
         for w in iter_bits(g.adj[last] & ~blocked):
             yield from extend(path + [w], blocked | g.adj[last])

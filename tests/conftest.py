@@ -65,6 +65,21 @@ def wheel_glued_to_square() -> tuple[Graph, tuple[int, int]]:
     return glue_at_lambda_edge(bicycle_wheel(3), (sq, sq_lam), None, sq_lam.red_edges[0])
 
 
+def glued32() -> Graph:
+    """A 32-vertex "no" graph that splits: the ``RigidPartFailed`` fixture
+    ``IM_hoBFpO`` glued at its non-edge {0, 7} to a 20-step coning graph at
+    one of its witness edges.  It passes the preconditions and both gates;
+    with the required pair (23, 30), the vertices B_x15 and B_x22 of another
+    witness edge, whole-graph ``relative_search`` is exponential on it."""
+    from visualraag.generators import random_coning
+    from visualraag.graphs import from_graph6
+
+    c = random_coning(1, 20)
+    g, _ = glue_at_lambda_edge((from_graph6("IM_hoBFpO"), None), (c.graph, c.lam), (0, 7),
+                               c.lam.edges[0])
+    return g
+
+
 def sweep_graphs() -> list[Graph]:
     """Every qualifying graph on at most 8 vertices (the committed sweep)."""
     from visualraag.graphs import from_graph6

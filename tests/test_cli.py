@@ -97,6 +97,42 @@ def test_search_required_pairs(capsys, wheel_files):
     assert ["x", "d1"] in data["lambda"]["red"] or ["x", "d1"] in data["lambda"]["blue"]
 
 
+@pytest.mark.parametrize("engine", ["oracle", "both"])
+def test_search_require_with_the_oracle_refuses_before_any_search(capsys, wheel_files,
+                                                                   monkeypatch, engine):
+    from visualraag import cli, dismantle
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("a search ran")
+
+    # every dismantling search starts with the preconditions
+    monkeypatch.setattr(dismantle, "precondition_failures", boom)
+    monkeypatch.setattr(cli, "naive_search", boom)
+    gpath, _ = wheel_files
+    code = main(["search", str(gpath), "--engine", engine, "--require", "x,d1"])
+    assert code == 1
+    assert "--require is only supported by the dismantling engine" in capsys.readouterr().err
+
+
+def test_search_require_goes_through_the_split(capsys, tmp_path):
+    from conftest import glued32
+
+    path = tmp_path / "glued32.g6"
+    path.write_text(to_graph6(glued32()))
+    code, out = run(capsys, "--format", "json", "search", str(path),
+                    "--require", "23,30", "--timeout", "5")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["decision"], data["stage"]) == ("no", "split")
+
+
+def test_search_require_of_one_vertex_is_a_usage_error(capsys, wheel_files):
+    gpath, _ = wheel_files
+    code = main(["search", str(gpath), "--require", "x,x"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_verify_pass_and_fail(capsys, wheel_files, tmp_path):
     gpath, lpath = wheel_files
     code, out = run(capsys, "--format", "json", "verify", str(gpath), str(lpath))

@@ -193,16 +193,14 @@ def test_dagger_required_pair_forces_choice():
     seqs = list(enumerate_dismantlings(g))
     # removing vertex 4 leaves the square on 0,1,2,3; require the edge {2,4}
     seq = next(s for s in seqs if s.steps[0].x == 4)
-    from visualraag.dismantle import RequiredPair
-
-    out = check_dagger(seq, [RequiredPair(2, 4)])
+    out = check_dagger(seq, [(2, 4)])
     assert not isinstance(out, DaggerFailure)
     assert out.steps[0].chosen == 2
-    out3 = check_dagger(seq, [RequiredPair(3, 4)])
+    out3 = check_dagger(seq, [(3, 4)])
     assert not isinstance(out3, DaggerFailure)
     assert out3.steps[0].chosen == 3
     # conflicting demands for the same step
-    bad = check_dagger(seq, [RequiredPair(2, 4), RequiredPair(3, 4)])
+    bad = check_dagger(seq, [(2, 4), (3, 4)])
     assert isinstance(bad, DaggerFailure)
     assert bad.conflict is not None
 
@@ -257,6 +255,15 @@ def test_relative_search_rejects_adjacent_required_pair():
     g, _ = bicycle_wheel(3)
     with pytest.raises(ValueError):
         relative_search(g, [(g.vertex_id("x"), g.vertex_id("c1"))])
+
+
+@pytest.mark.parametrize("search", [global_search, relative_search])
+def test_required_pair_of_one_vertex_is_rejected(search):
+    g, _ = bicycle_wheel(3)
+    with pytest.raises(ValueError):
+        search(g, [(g.vertex_id("x"), g.vertex_id("x"))])
+    with pytest.raises(ValueError):
+        search(square(), [(0, 0)])
 
 
 def test_relative_search_c8_reason():
@@ -367,7 +374,6 @@ def test_step_checked_search_matches_enumeration_plus_dagger():
     # plain enumeration followed by check_dagger decides
     from pathlib import Path
 
-    from visualraag.dismantle import RequiredPair
     from visualraag.graphs import from_graph6
 
     sweep = (Path(__file__).parent / "data" / "connected_tf_nosep_le8.g6").read_text().split()
@@ -375,7 +381,7 @@ def test_step_checked_search_matches_enumeration_plus_dagger():
     for line in sweep:
         g = from_graph6(line)
         pairs = [(p, q) for p in range(g.n) for q in range(p + 1, g.n) if not g.has_edge(p, q)]
-        for req in [[]] + [[RequiredPair(p, q)] for p, q in pairs]:
+        for req in [[]] + [[(p, q)] for p, q in pairs]:
             verdict = relative_search(g, req)
             if verdict.stage not in ("dismantle", "dagger"):
                 continue
@@ -397,12 +403,10 @@ def test_step_checked_search_matches_enumeration_plus_dagger():
 def test_verdict_dominators_are_check_daggers():
     # check_dagger is the one place dominators are chosen: re-running it on
     # the sequence of a "yes" changes nothing
-    from visualraag.dismantle import RequiredPair
-
     yes = 0
     for g in sweep_graphs():
         pairs = [(p, q) for p in range(g.n) for q in range(p + 1, g.n) if not g.has_edge(p, q)]
-        for req in [[]] + [[RequiredPair(p, q)] for p, q in pairs]:
+        for req in [[]] + [[(p, q)] for p, q in pairs]:
             verdict = relative_search(g, req)
             if verdict.is_yes:
                 assert check_dagger(verdict.sequence, req) == verdict.sequence, (g.names, req)

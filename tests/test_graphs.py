@@ -269,11 +269,6 @@ def test_induced_cycles_tree_empty():
     assert list(induced_cycles(path_graph(6))) == []
 
 
-def test_induced_cycles_max_len():
-    g = wheel3()
-    assert all(len(c) <= 4 for c in induced_cycles(g, max_len=4))
-
-
 @given(st.integers(3, 8), st.floats(0.1, 0.9))
 @settings(max_examples=50, deadline=None)
 def test_induced_cycles_match_brute_force(n, p):

@@ -7,24 +7,26 @@ solves (a component of two or more vertices plus the cut vertices) of a
 graph that passes the preconditions and both gates passes them too.  L3:
 every cut of a part that tears no required pair runs through the pair of a
 host cut, so the split tests only the host's cut pairs.  The proofs are in
-the README, "Why the split needs no guards".
+the README, "Why the split needs no guards".  With required pairs too, the
+split decides what whole-graph ``relative_search`` decides.
 """
 
+import itertools
 import random
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from visualraag import jsj
-from visualraag.dismantle import forbidden_cycle_check, global_search, relative_search
+from visualraag.dismantle import Budget, forbidden_cycle_check, global_search, relative_search
 from visualraag.dl import precondition_failures
 from visualraag.generators import fixtures, random_coning
-from visualraag.graphs import bit_list, from_graph6
+from visualraag.graphs import bipartition, bit_list, from_graph6
 from visualraag.jsj import Cut, crossing_pair, cuts_through, find_cuts
 from visualraag.oracle import naive_search
 from visualraag.squares import CfsStatus, cfs_status, is_strongly_cfs
 
-from conftest import cycle_graph, random_triangle_free, sweep_graphs
+from conftest import cycle_graph, glued32, random_triangle_free, sweep_graphs
 from test_acceptance import _random_qualifying
 from test_jsj import _glued_instances
 
@@ -120,14 +122,15 @@ def _to_host(cut, verts):
     return Cut(tuple(verts[v] for v in cut.vertices), tuple(map(remap, cut.components)))
 
 
-def _walk_split(g, seen: dict):
-    """Follow the split recursion of ``global_search`` on ``g``, comparing at
-    every level the usable cuts of the part with those through the host's
-    cut pairs; counts the usable triples around an enclosing pair cut."""
+def _walk_split(g, seen: dict, given: tuple = ()):
+    """Follow the split recursion of ``global_search`` on ``g`` with the
+    pairs ``given`` required, comparing at every level the usable cuts of
+    the part with those through the host's cut pairs; counts the usable
+    triples around an enclosing pair cut."""
     host_cuts = find_cuts(g)
     pairs = list(dict.fromkeys(k.pair for k in host_cuts))
     host_pair_cuts = {k.pair for k in host_cuts if k.is_pair}
-    stack = [(g.full_mask, ())]
+    stack = [(g.full_mask, given)]
     while stack:
         mask, required = stack.pop()
         verts = bit_list(mask)
@@ -156,6 +159,18 @@ def test_l3_usable_cuts_of_a_part_run_through_host_cut_pairs():
     # not vacuous: some level splits at an a-c-b triple whose pair {a,b} is a
     # host pair cut, a cut the host does not list
     assert seen["triples"] >= 1 and seen["levels"] > 500, seen
+
+
+def test_l3_holds_with_required_pairs_given():
+    # the given pairs enter no invariant of the proof, so L3 holds with them
+    seen = {"levels": 0, "triples": 0}
+    for g in sweep_graphs() + _glued_instances(20):
+        if g.n >= 5 and _passes_gates(g):
+            col = bipartition(g)
+            for pair in itertools.combinations(range(g.n), 2):
+                if col.same_class(*pair):
+                    _walk_split(g, seen, (pair,))
+    assert seen["levels"] > 3000 and seen["triples"] > 30, seen
 
 
 def test_one_cut_search_per_decision(monkeypatch):
@@ -208,3 +223,59 @@ def test_split_and_whole_graph_searches_agree(draw_seed):
     while not _passes_gates(g):
         g = random_triangle_free(rng, rng.randint(5, 11))
     assert global_search(g).decision == relative_search(g).decision, (g.names, g.adj)
+
+
+def _agree_with_required(g, req):
+    """``global_search`` and whole-graph ``relative_search`` reach the same
+    decision with the pairs ``req`` required, and a "yes" holds them all."""
+    split = global_search(g, req)
+    assert split.decision == relative_search(g, req).decision, (g.names, g.adj, req)
+    if split.is_yes:
+        assert set(req) <= split.lam.edge_set(), (g.names, g.adj, req)
+    return split.decision
+
+
+def test_split_and_whole_graph_agree_on_every_single_required_pair():
+    decisions = {"yes": 0, "no": 0}
+    for g in sweep_graphs():
+        for pair in itertools.combinations(range(g.n), 2):
+            if not g.has_edge(*pair):
+                decisions[_agree_with_required(g, [pair])] += 1
+    assert decisions == {"yes": 273, "no": 978}
+
+
+@seed(20261020)
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_split_and_whole_graph_searches_agree_with_required_pairs(draw_seed):
+    rng = random.Random(draw_seed)
+    g = random_triangle_free(rng, rng.randint(5, 11))
+    while not _passes_gates(g):
+        g = random_triangle_free(rng, rng.randint(5, 11))
+    col = bipartition(g)
+    same = [(p, q) for p, q in itertools.combinations(range(g.n), 2) if col.same_class(p, q)]
+    _agree_with_required(g, rng.sample(same, rng.randint(1, 2)))
+
+
+def test_required_pairs_go_through_the_split():
+    # whole-graph relative_search exceeds a 10 s budget on this pair
+    g = glued32()
+    assert g.n == 32 and _passes_gates(g)
+    assert [g.names[v] for v in (23, 30)] == ["B_x15", "B_x22"]
+    verdict = global_search(g, [(23, 30)], Budget.from_seconds(5))
+    assert (verdict.decision, verdict.stage, verdict.reason) == ("no", "split", "RigidPartFailed")
+    assert verdict.detail["sub_reason"] == "NoDaggerSequence"
+
+
+def test_required_pair_cycle_across_parts_is_caught_before_the_split():
+    # p-a-q-b-p with a on one side of the cut pair {p, q} and b on the other
+    g = fixtures()["glued_wheels"].graph
+    p, q = g.vertex_id("p"), g.vertex_id("q")
+    col = bipartition(g)
+    a, b = (next(v for v in range(g.n) if g.names[v].startswith(side) and col.same_class(p, v))
+            for side in ("A_", "B_"))
+    req = [(p, a), (a, q), (q, b), (b, p)]
+    verdict = global_search(g, req)
+    assert (verdict.decision, verdict.stage, verdict.reason) == (
+        "no", "required_pairs", "RequiredPairCycle")
+    assert relative_search(g, req).reason == "RequiredPairCycle"
