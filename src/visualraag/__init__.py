@@ -13,7 +13,6 @@ from .graphs import (
     bipartition,
     bits,
     bit_list,
-    complement,
     has_separating_clique,
     induced_cycles,
     is_incomplete,
@@ -21,7 +20,6 @@ from .graphs import (
     iter_bits,
     link,
     n_chords,
-    satellites,
 )
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "bipartition",
     "bits",
     "bit_list",
-    "complement",
     "has_separating_clique",
     "induced_cycles",
     "is_incomplete",
@@ -39,7 +36,6 @@ __all__ = [
     "iter_bits",
     "link",
     "n_chords",
-    "satellites",
 ]
 
 __version__ = "0.1.0"

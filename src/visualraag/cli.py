@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -358,6 +359,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+def _seconds(text: str) -> float:
+    """A ``--timeout`` value: a finite number of seconds, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"not a finite number of seconds >= 0: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="visualraag",
@@ -378,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--engine", choices=("dismantle", "oracle", "both"), default="dismantle")
     s.add_argument("--require", action="append", metavar="P,Q",
                    help="demand the pair as a witness edge (repeatable)")
-    s.add_argument("--timeout", type=float, default=None, help="seconds per engine")
+    s.add_argument("--timeout", type=_seconds, default=None, help="seconds per engine")
     s.set_defaults(func=cmd_search)
 
     v = sub.add_parser("verify", help="check a (graph, witness) pair")
@@ -399,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("batch", help="run a graph6 stream or directory")
     b.add_argument("input", help="file, directory, or - for stdin")
     b.add_argument("--engine", choices=("dismantle", "both"), default="dismantle")
-    b.add_argument("--timeout", type=float, default=None, help="seconds per graph")
+    b.add_argument("--timeout", type=_seconds, default=None, help="seconds per graph")
     b.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     b.set_defaults(func=cmd_batch)
 

@@ -114,9 +114,6 @@ class DismantlingSequence:
             m |= 1 << step.x
         return m
 
-    def removal_order(self) -> list[int]:
-        return [step.x for step in reversed(self.steps)]
-
     def with_choices(self, chosen: Sequence[int]) -> "DismantlingSequence":
         steps = tuple(
             DismantlingStep(s.x, s.cone, s.candidates, c)
@@ -208,11 +205,10 @@ def forbidden_cycle_check(g: Graph) -> dict | None:
     for cyc in induced_cycles(g):
         k = len(cyc)
         if k == 6:
-            evens = bits(cyc[0::2])
-            odds = bits(cyc[1::2])
-            hub_x = [v for v in range(g.n) if evens & ~g.adj[v] == 0]
-            hub_y = [v for v in range(g.n) if odds & ~g.adj[v] == 0]
-            if not any(g.has_edge(x, y) for x in hub_x for y in hub_y):
+            c0, c1, c2, c3, c4, c5 = cyc
+            hub_x = g.adj[c0] & g.adj[c2] & g.adj[c4]
+            hub_y = g.adj[c1] & g.adj[c3] & g.adj[c5]
+            if not any(g.adj[x] & hub_y for x in iter_bits(hub_x)):
                 return {
                     "kind": "hexagon_not_wheel_rim",
                     "cycle": [g.names[v] for v in cyc],

@@ -96,9 +96,6 @@ class Lambda:
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self.red_edges + self.blue_edges
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(self.edges)
-
     def swapped(self) -> "Lambda":
         return Lambda(self.host, self.blue_edges, self.red_edges)
 

@@ -214,12 +214,6 @@ class Graph:
 # vocabulary operations
 
 
-def complement(g: Graph) -> Graph:
-    """Same vertices; edge present iff distinct vertices are non-adjacent in g."""
-    full = g.full_mask
-    return Graph(g.names, [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)])
-
-
 def link(g: Graph, v: int) -> int:
     """Neighbors of v, as a bitmask."""
     if not 0 <= v < g.n:
@@ -342,31 +336,6 @@ def _odd_walk(parent: list[int], v: int, w: int) -> list[int]:
     return pv[::-1] + pw[:-1]
 
 
-def satellites(g: Graph, strict: bool = False) -> list[tuple[int, int]]:
-    """Pairs (v, dominators) where the dominator set is nonempty.
-
-    w dominates v when lk(v) is contained in lk(w) and w != v.  Containment
-    is non-strict by default, so twins dominate each other; pass strict=True
-    to require proper containment.
-    """
-    out = []
-    for v in range(g.n):
-        lv = g.adj[v]
-        doms = 0
-        for w in range(g.n):
-            if w == v:
-                continue
-            lw = g.adj[w]
-            if lv & ~lw:
-                continue
-            if strict and lv == lw:
-                continue
-            doms |= 1 << w
-        if doms:
-            out.append((v, doms))
-    return out
-
-
 def dominator(g: Graph, v: int, active: int | None = None) -> int | None:
     """The lowest vertex whose link contains v's in the induced subgraph on
     ``active``, or None when v is no satellite there."""
@@ -377,11 +346,6 @@ def dominator(g: Graph, v: int, active: int | None = None) -> int | None:
         if not lv & ~g.adj[w]:
             return w
     return None
-
-
-def is_satellite(g: Graph, v: int) -> bool:
-    """Does some other vertex's link contain v's?"""
-    return dominator(g, v) is not None
 
 
 def find_edge_cycle(adj: dict[int, set[int]]) -> list[int] | None:

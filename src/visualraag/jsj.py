@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .dl import Lambda
-from .graphs import Graph, bit_list, bits, iter_bits, reach
+from .graphs import Graph, bit_list, bits, iter_bits
 
 
 @dataclass(frozen=True)
@@ -122,18 +122,6 @@ class GraphOfCylinders:
     edges: tuple[tuple[int, int], ...]                   # (cylinder idx, rigid idx)
     cuts: tuple[Cut, ...]
 
-    def is_tree(self) -> bool:
-        k = len(self.cylinders) + len(self.rigids)
-        if k == 0:
-            return True
-        adj = [0] * k
-        nc = len(self.cylinders)
-        for ci, ri in self.edges:
-            adj[ci] |= 1 << (nc + ri)
-            adj[nc + ri] |= 1 << ci
-        full = (1 << k) - 1
-        return reach(adj, 0, full) == full and len(self.edges) == k - 1
-
     def to_json_dict(self) -> dict:
         names = self.host.names
         return {
@@ -224,20 +212,7 @@ def _max_cliques(adj: dict[int, int], universe: int) -> list[int]:
     return out
 
 
-# ----------------------------------------------------------- split / assemble
-
-
-def split_at_cut(g: Graph, cut: Cut) -> list[Graph]:
-    """Induced subgraphs (component + cut vertices), one per component.
-
-    This stays the public splitter (acceptance criterion 8 splits with it);
-    the search builds only the parts it solves.  A single-vertex component
-    of a pair cut {a,b} is a common neighbor c of a and b, so its part is
-    the bare 2-path a-c-b.  Such a vertex belongs to the cylinder
-    {a,b} u (lk a n lk b): it is not solved as a part, and
-    ``assemble_lambdas`` covers it with the cut edge and the hub star.
-    """
-    return [g.subgraph(comp | cut.mask) for comp in cut.components]
+# ------------------------------------------------------------------- assemble
 
 
 def assemble_lambdas(

@@ -11,7 +11,8 @@ connected.  Both take its components with ``graphs.reach`` and
 ``graphs.components``.  Both tests gate the search pipeline; the
 dismantling search takes the diagonal graph the CFS gate built
 (``CfsReport.diagonal``) and decides each state's strong CFS by restricting
-it to the state's vertex mask (``DiagonalGraph.strongly_cfs``).
+it to the state's vertex mask.  ``DiagonalGraph.strongly_cfs`` is the one
+such restriction; ``is_strongly_cfs`` is its whole-graph form.
 """
 
 from __future__ import annotations
@@ -90,29 +91,18 @@ class DiagonalGraph:
         return corners == active or corners | _cone(self.host, active) == active
 
 
-def induced_squares(g: Graph, active: int | None = None) -> list[Square]:
-    """Induced squares of g (inside ``active`` when given), each once as its
-    diagonal pair ((a, b), (c, d)) with a < b, c < d and a < c, so the first
-    pair holds the smallest vertex; listed in ascending (a, b, c, d) order."""
-    if active is None:
-        active = g.full_mask
+def induced_squares(g: Graph) -> list[Square]:
+    """Induced squares of g, each once as its diagonal pair ((a, b), (c, d))
+    with a < b, c < d and a < c, so the first pair holds the smallest
+    vertex; listed in ascending (a, b, c, d) order."""
     out = []
-    for a in iter_bits(active):
-        above = active >> (a + 1) << (a + 1)
+    for a in range(g.n):
+        above = g.full_mask >> (a + 1) << (a + 1)
         for b in iter_bits(above & ~g.adj[a]):
             common = g.adj[a] & g.adj[b] & above
             for c, d in itertools.combinations(bit_list(common), 2):
                 if not g.adj[c] >> d & 1:
                     out.append(((a, b), (c, d)))
-    return out
-
-
-def support(dset) -> set[int]:
-    """Union of the vertex pairs of a collection of diagonals."""
-    out: set[int] = set()
-    for a, b in dset:
-        out.add(a)
-        out.add(b)
     return out
 
 
@@ -136,9 +126,9 @@ def _cone(g: Graph, active: int) -> int:
     return bits(v for v in iter_bits(active) if g.adj[v] & active == active & ~(1 << v))
 
 
-def diagonal_graph(g: Graph, active: int | None = None) -> DiagonalGraph:
-    """Exact diagonal graph of g (restricted to ``active`` when given)."""
-    diags, adj = _diagonal_adjacency(induced_squares(g, active))
+def diagonal_graph(g: Graph) -> DiagonalGraph:
+    """Exact diagonal graph of g."""
+    diags, adj = _diagonal_adjacency(induced_squares(g))
     return DiagonalGraph(g, tuple(diags), tuple(adj))
 
 
@@ -156,17 +146,15 @@ class CfsReport:
     diagnostic: str = ""
 
 
-def cfs_status(g: Graph, active: int | None = None) -> CfsReport:
+def cfs_status(g: Graph) -> CfsReport:
     """Classify as NotCFS / CFS / StronglyCFS with the witnessing component.
 
     Cone vertices (adjacent to everything else) are excluded from the support
     requirement; in connected triangle-free inputs with at least 3 vertices
     they only occur in stars, which therefore report NotCFS with a diagnostic.
     """
-    if active is None:
-        active = g.full_mask
-    cone = _cone(g, active)
-    dg = diagonal_graph(g, active)
+    cone = _cone(g, g.full_mask)
+    dg = diagonal_graph(g)
     if not dg.diagonals:
         diagnostic = "diagonal graph is empty"
         if cone:
@@ -174,7 +162,7 @@ def cfs_status(g: Graph, active: int | None = None) -> CfsReport:
         return CfsReport(CfsStatus.NOT_CFS, dg, (), diagnostic)
     comps = components(dg.adj, (1 << len(dg.adj)) - 1)
     witness = next((tuple(iter_bits(c)) for c in comps
-                    if dg.support_mask(iter_bits(c)) | cone == active), ())
+                    if dg.support_mask(iter_bits(c)) | cone == g.full_mask), ())
     if not witness:
         return CfsReport(CfsStatus.NOT_CFS, dg, (), "no component has full support")
     if len(comps) == 1:
@@ -182,14 +170,7 @@ def cfs_status(g: Graph, active: int | None = None) -> CfsReport:
     return CfsReport(CfsStatus.CFS, dg, witness, "diagonal graph is disconnected")
 
 
-def is_strongly_cfs(g: Graph, active: int | None = None, squares: list[Square] | None = None) -> bool:
-    """Is g (restricted to ``active``) strongly CFS?
-
-    ``squares``, when given, may be any list of g's induced squares holding
-    all those inside ``active``; its diagonal graph is restricted to
-    ``active`` (``DiagonalGraph.strongly_cfs``).
-    """
-    if active is None:
-        active = g.full_mask
-    diags, adj = _diagonal_adjacency(induced_squares(g, active) if squares is None else squares)
-    return DiagonalGraph(g, tuple(diags), tuple(adj)).strongly_cfs(active)
+def is_strongly_cfs(g: Graph) -> bool:
+    """Is g strongly CFS?  ``DiagonalGraph.strongly_cfs`` on the whole
+    vertex set."""
+    return diagonal_graph(g).strongly_cfs(g.full_mask)

@@ -41,7 +41,6 @@ from visualraag.jsj import (
     crosses,
     find_cuts,
     graph_of_cylinders,
-    split_at_cut,
     uncrossed_cuts,
 )
 from visualraag.oracle import OracleLimits, naive_search
@@ -262,7 +261,7 @@ def test_criterion_7_convexity_properties():
     assert COLLECTED_YES, "earlier criteria must have collected yes-instances"
     violations = []
     for g, lam in COLLECTED_YES:
-        edge_set = lam.edge_set()
+        edge_set = set(lam.edges)
         try:
             bipartition(g)
         except Exception:
@@ -310,7 +309,7 @@ def test_criterion_8_split_assemble_round_trip():
         if target is None or target not in uncrossed_cuts(g, cuts):
             continue
         done += 1
-        parts = split_at_cut(g, target)
+        parts = [g.subgraph(comp | target.mask) for comp in target.components]
         solved = []
         ok = True
         for comp, part in zip(target.components, parts):

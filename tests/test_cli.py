@@ -341,6 +341,18 @@ def test_usage_errors_exit_1_not_refusal(capsys, argv):
     assert "usage:" in err and "error:" in err
 
 
+@pytest.mark.parametrize("command", ["search", "batch"])
+@pytest.mark.parametrize("timeout", ["nan", "-1", "inf"])
+def test_timeout_must_be_finite_and_not_negative(capsys, tmp_path, command, timeout):
+    # with nan no deadline ever passed, and -1 answered budget_exceeded unsearched
+    g6 = tmp_path / "wheel3.g6"
+    g6.write_text(to_graph6(bicycle_wheel(3)[0]) + "\n")
+    code = main([command, str(g6), "--timeout", timeout])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "error:" in captured.err and "--timeout" in captured.err
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search", "--help"])

@@ -95,7 +95,7 @@ def test_intermediates_stay_admissible():
         sub = g.subgraph(stratum)
         assert is_incomplete(sub) and is_triangle_free(sub)
         assert not has_separating_clique(sub)
-        assert is_strongly_cfs(g, stratum)
+        assert is_strongly_cfs(sub)
 
 
 def test_one_diagonal_graph_per_search(monkeypatch):
@@ -151,7 +151,7 @@ def _ordermatters_sequence(first_removed_then):
     """Build the specific removal order used by the worked example."""
     g = fixtures()["ordermatters"].graph
     for seq in enumerate_dismantlings(g):
-        if seq.removal_order() == first_removed_then:
+        if [s.x for s in reversed(seq.steps)] == first_removed_then:
             return seq
     raise AssertionError("expected sequence not enumerated")
 
@@ -222,7 +222,7 @@ def test_relative_search_with_satisfiable_requirement():
     pair = (g.vertex_id("x"), g.vertex_id("d2"))
     verdict = relative_search(g, [pair])
     assert verdict.is_yes
-    assert tuple(sorted(pair)) in verdict.lam.edge_set()
+    assert tuple(sorted(pair)) in set(verdict.lam.edges)
 
 
 def test_relative_search_with_unsatisfiable_requirement():

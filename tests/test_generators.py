@@ -38,11 +38,11 @@ def test_first_cone_step_gives_k23_shape():
     g2, lam2 = cone_step(g, lam, a, link(g, a))
     assert g2.n == 5 and g2.edge_count() == 6
     new_edge = tuple(sorted((a, 4)))
-    assert new_edge in lam2.edge_set()
+    assert new_edge in set(lam2.edges)
     # the new vertex is a satellite of a
-    from visualraag.graphs import is_satellite
+    from visualraag.graphs import dominator
 
-    assert is_satellite(g2, 4)
+    assert dominator(g2, 4) is not None
 
 
 def test_cone_step_rejections():

@@ -14,7 +14,6 @@ from visualraag.graphs import (
     bit_list,
     bits,
     cliques,
-    complement,
     components,
     dominator,
     from_graph6,
@@ -22,12 +21,10 @@ from visualraag.graphs import (
     has_separating_clique,
     induced_cycles,
     is_incomplete,
-    is_satellite,
     is_triangle_free,
     link,
     n_chords,
     reach,
-    satellites,
     to_graph6,
     to_json,
 )
@@ -51,33 +48,6 @@ def wheel3() -> Graph:
     from visualraag.generators import bicycle_wheel
 
     return bicycle_wheel(3)[0]
-
-
-# ---------------------------------------------------------------- complement
-
-
-def test_complement_square_is_two_disjoint_edges():
-    g = square()
-    c = complement(g)
-    a, b = g.vertex_id("a"), g.vertex_id("b")
-    cc, d = g.vertex_id("c"), g.vertex_id("d")
-    assert set(c.edges()) == {tuple(sorted((a, b))), tuple(sorted((cc, d)))}
-
-
-def test_complement_k4_is_edgeless():
-    assert complement(complete_graph(4)).edge_count() == 0
-
-
-def test_complement_involution_on_wheel():
-    g = wheel3()
-    assert complement(complement(g)) == g
-
-
-@given(st.integers(2, 9), st.floats(0, 1))
-@settings(max_examples=60)
-def test_complement_involution_random(n, p):
-    g = random_graph(random.Random(int(p * 1000) + n), n, p)
-    assert complement(complement(g)) == g
 
 
 # ---------------------------------------------------------------------- link
@@ -215,39 +185,27 @@ def test_bipartition_proper_when_it_succeeds(n):
 
 def test_satellites_k23_twins():
     g = complete_bipartite(2, 3)
-    sat = dict(satellites(g))
-    assert sat[0] == bits([1])
-    assert sat[1] == bits([0])
-    assert sat[2] == bits([3, 4])
-    assert sat[3] == bits([2, 4])
+    assert dominator(g, 0) == 1
+    assert dominator(g, 1) == 0
+    assert dominator(g, 2) == 3
+    assert dominator(g, 3) == 2
+    assert dominator(g, 4) == 2
 
 
 def test_satellites_square_diagonal():
     g = square()  # order a,c,b,d
-    sat = dict(satellites(g))
     a, b = g.vertex_id("a"), g.vertex_id("b")
-    assert sat[a] == 1 << b and sat[b] == 1 << a
-
-
-def test_satellites_strict_excludes_twins():
-    g = complete_bipartite(2, 3)
-    assert satellites(g, strict=True) == []
+    assert dominator(g, a) == b and dominator(g, b) == a
 
 
 @given(st.integers(2, 8))
 @settings(max_examples=40)
 def test_satellites_match_double_loop(n):
+    """``dominator`` is the lowest w != v with lk v inside lk w."""
     g = random_triangle_free(random.Random(n * 17 + 5), n)
-    listed = dict(satellites(g))
     for v in range(g.n):
-        for w in range(g.n):
-            if v == w:
-                continue
-            contained = not (g.adj[v] & ~g.adj[w])
-            assert contained == bool(listed.get(v, 0) >> w & 1)
-    for v, doms in listed.items():
-        assert is_satellite(g, v)
-        assert doms
+        doms = [w for w in range(g.n) if w != v and not g.adj[v] & ~g.adj[w]]
+        assert dominator(g, v) == (doms[0] if doms else None)
 
 
 # -------------------------------------------------------------- induced cycles
@@ -412,16 +370,6 @@ def test_dominator_lemma_on_sweep():
                     triples += 1
                     assert has_separating_clique(g, rest, through=w) == full
     assert triples == 11196  # (mask, satellite, dominator) triples of the sweep
-
-
-@given(st.integers(2, 8))
-@settings(max_examples=40)
-def test_dominator_is_lowest_listed_dominator(n):
-    g = random_triangle_free(random.Random(n * 19 + 2), n)
-    listed = dict(satellites(g))
-    for v in range(g.n):
-        doms = listed.get(v, 0)
-        assert dominator(g, v) == (bit_list(doms)[0] if doms else None)
 
 
 # ------------------------------------------------------------ the one walk

@@ -4,7 +4,9 @@ Every import binds a name that the module uses (``__init__.py`` re-exports
 are exempt), no module imports a private (underscore) name from another,
 every private module-level function or class is referenced somewhere in
 the package, every defaulted parameter of a package function is passed by
-some call in the repository, and no module holds an ``assert`` statement.
+some call in the repository, every public function, class and method is
+reached from the package, its scripts or its benchmark, and no module holds
+an ``assert`` statement.
 """
 
 import ast
@@ -181,3 +183,81 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     )
     assert not hits, f"assert statements in src/visualraag: {hits}"
+
+
+# Code in these trees counts as a user of the package's public names; the
+# tests do not.
+USER_DIRS = ("src", "scripts", "bench")
+
+
+def _public_definitions():
+    """(module, qualified name) of every public module-level function and
+    class and every public non-dunder method of a public class."""
+    for name in MODULES:
+        for node in _tree(name).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            yield name[:-3], node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("_")):
+                        yield name[:-3], f"{node.name}.{item.name}"
+
+
+def _user_loads() -> tuple[set[tuple[str, str]], set[str]]:
+    """Where the users load package names: the (module, name) pairs loaded
+    by bare name, in the defining module or in a file that imports the name
+    from it, and every attribute name read.  A bare name counts only
+    against the module it comes from, so a local variable in one module
+    does not reach a function of the same name in another."""
+    root = SRC.parent.parent
+    by_name: set[tuple[str, str]] = set()
+    attrs: set[str] = set()
+    for d in USER_DIRS:
+        for path in sorted((root / d).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            origin = {}  # bound name -> package module it comes from
+            if path.parent == SRC:
+                origin.update((node.name, path.stem) for node in tree.body if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    module = node.module.removeprefix("visualraag.")
+                    if node.level == 1 or node.module.startswith("visualraag."):
+                        origin.update((a.asname or a.name, module) for a in node.names)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and node.id in origin:
+                    by_name.add((origin[node.id], node.id))
+                elif isinstance(node, ast.Attribute):
+                    attrs.add(node.attr)
+    return by_name, attrs
+
+
+def _traced() -> set[tuple[str, str]]:
+    """The (module, qualified name) pairs ``bench/tracing.py`` wraps by name."""
+    tree = ast.parse((SRC.parent.parent / "bench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+            return {(module, name) for module, name, _kind in ast.literal_eval(node.value)}
+    raise AssertionError("bench/tracing.py has no TRACED literal")
+
+
+def test_every_public_name_has_a_user():
+    """A public function, class or method that only tests reach is dead API:
+    it should go, and its tests check the engine's own form instead."""
+    by_name, attrs = _user_loads()
+    traced = _traced()
+    dead = sorted(
+        f"{module}.{qualname}"
+        for module, qualname in _public_definitions()
+        if (module, qualname) not in traced
+        and qualname.split(".")[-1] not in attrs
+        and ("." in qualname or (module, qualname) not in by_name)
+    )
+    assert not dead, f"public names that only tests reach: {dead}"

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from visualraag.dl import Lambda, precondition_failures, verify_fidl
 from visualraag.dismantle import relative_search
-from visualraag.graphs import bits, bit_list, has_separating_clique, iter_bits
+from visualraag.graphs import bits, bit_list, has_separating_clique, iter_bits, reach
 from visualraag.jsj import (
     Cut,
     assemble_lambdas,
     crosses,
     find_cuts,
     graph_of_cylinders,
-    split_at_cut,
     uncrossed_cuts,
 )
 from visualraag.generators import bicycle_wheel, fixtures, glue_at_lambda_edge, random_coning
@@ -127,7 +126,13 @@ def test_glued_wheels_two_rigids_one_cylinder():
     assert len(goc.cylinders) == 1
     assert len(goc.rigids) == 2
     assert len(goc.edges) == 2
-    assert goc.is_tree()
+    # the cylinder and both rigids form a tree
+    nc, k = len(goc.cylinders), len(goc.cylinders) + len(goc.rigids)
+    adj = [0] * k
+    for ci, ri in goc.edges:
+        adj[ci] |= 1 << (nc + ri)
+        adj[nc + ri] |= 1 << ci
+    assert reach(adj, 0, (1 << k) - 1) == (1 << k) - 1 and len(goc.edges) == k - 1
     (pair, cyl_mask), = goc.cylinders
     p, q = g.vertex_id("p"), g.vertex_id("q")
     assert set(pair) == {p, q}
@@ -174,10 +179,15 @@ def test_rigid_sets_match_subset_enumeration():
 # ------------------------------------------------------------ split / assemble
 
 
+def _parts(g, cut):
+    """One induced part per component of ``cut``: the component with the cut."""
+    return [g.subgraph(comp | cut.mask) for comp in cut.components]
+
+
 def test_split_k23_gives_three_paths():
     g = complete_bipartite(2, 3)
     cut = next(k for k in find_cuts(g) if k.is_pair)
-    parts = split_at_cut(g, cut)
+    parts = _parts(g, cut)
     assert len(parts) == 3
     assert all(p.n == 3 and p.edge_count() == 2 for p in parts)
 
@@ -185,7 +195,7 @@ def test_split_k23_gives_three_paths():
 def test_split_glued_wheels_gives_wheels():
     g = fixtures()["glued_wheels"].graph
     cut = next(k for k in find_cuts(g) if k.is_pair)
-    parts = split_at_cut(g, cut)
+    parts = _parts(g, cut)
     assert len(parts) == 2
     assert all(p.n == 8 and p.edge_count() == 13 for p in parts)
 
@@ -193,7 +203,7 @@ def test_split_glued_wheels_gives_wheels():
 def test_split_triple_midpoint_everywhere():
     g = fixtures()["glued_trees_triple"].graph
     cut = next(k for k in find_cuts(g) if not k.is_pair)
-    parts = split_at_cut(g, cut)
+    parts = _parts(g, cut)
     hub = g.names[cut.vertices[2]]
     assert all(hub in p.names for p in parts)
 
@@ -201,7 +211,7 @@ def test_split_triple_midpoint_everywhere():
 def test_assemble_round_trip_pair_case():
     g = fixtures()["glued_wheels"].graph
     cut = next(k for k in find_cuts(g) if k.is_pair)
-    parts = split_at_cut(g, cut)
+    parts = _parts(g, cut)
     solved = []
     for part in parts:
         a = part.vertex_id(g.names[cut.vertices[0]])
@@ -216,7 +226,7 @@ def test_assemble_round_trip_pair_case():
 def test_assemble_round_trip_triple_case():
     g = fixtures()["glued_trees_triple"].graph
     cut = next(k for k in find_cuts(g) if not k.is_pair)
-    parts = split_at_cut(g, cut)
+    parts = _parts(g, cut)
     solved = []
     for part in parts:
         a = part.vertex_id(g.names[cut.vertices[0]])
@@ -246,7 +256,7 @@ def test_assemble_one_part_with_common_neighbor_singletons():
     sizes = sorted(comp.bit_count() for comp in cut.components)
     assert sizes[-1] >= 2 and sizes[-2] == 1
     solved = []
-    for comp, part in zip(cut.components, split_at_cut(g, cut)):
+    for comp, part in zip(cut.components, _parts(g, cut)):
         if comp.bit_count() == 1:
             continue
         verdict = relative_search(part, [(part.vertex_id("p"), part.vertex_id("q"))])
@@ -269,14 +279,14 @@ def test_assemble_rejects_missing_edge():
     # convexity lemma), so hand-build a defective one lacking it
     g = fixtures()["glued_wheels"].graph
     cut = next(k for k in find_cuts(g) if k.is_pair)
-    parts = split_at_cut(g, cut)
+    parts = _parts(g, cut)
     part = parts[0]
     verdict = relative_search(part, [])
     assert verdict.is_yes
     a = part.vertex_id(g.names[cut.vertices[0]])
     b = part.vertex_id(g.names[cut.vertices[1]])
     key = tuple(sorted((a, b)))
-    assert key in verdict.lam.edge_set()  # the convexity lemma in action
+    assert key in set(verdict.lam.edges)  # the convexity lemma in action
     defective = Lambda.make(
         part,
         [e for e in verdict.lam.red_edges if e != key],

@@ -1,6 +1,8 @@
 import itertools
 import random
 import time
+from collections import Counter
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from visualraag.dl import Lambda, check_r3, check_r4, lambda_hull, verify_fidl
-from visualraag.graphs import Graph, NotBipartiteError, bipartition, bits, bit_list
+from visualraag.graphs import Graph, NotBipartiteError, bipartition, bits, bit_list, from_graph6
 from visualraag.oracle import (
     OracleLimits,
     canonical_lambda,
@@ -195,6 +197,29 @@ def test_every_engine_witness_in_exhaustive_list():
         assert any(
             set(canon.edges) == set(lam.edges) for lam in lams
         ), name
+
+
+def test_engine_and_oracle_agree_on_every_graph_up_to_9_vertices():
+    """Every qualifying graph on at most 9 vertices (``enumerate_small.py 9``):
+    the dismantling engine and the oracle reach one decision.  Unlike the
+    8-vertex sweep, this one reaches the "no" of the dagger stage and both
+    stages of a "yes"."""
+    from visualraag.dismantle import global_search
+
+    stream = (Path(__file__).parent / "data" / "connected_tf_nosep_le9.g6").read_text().split()
+    assert len(stream) == 429
+    decisions, stages, disagreements = Counter(), set(), []
+    for line in stream:
+        g = from_graph6(line)
+        mine, oracle = global_search(g), naive_search(g)
+        if mine.decision != oracle.decision:
+            disagreements.append((line, mine.decision, oracle.decision))
+        decisions[oracle.decision] += 1
+        stages.add((mine.decision, mine.stage))
+    assert not disagreements
+    assert decisions == {"no": 349, "yes": 80}
+    assert stages == {("no", "cfs"), ("no", "cycles"), ("no", "dagger"),
+                      ("yes", "assemble"), ("yes", "dismantle")}
 
 
 # ----------------------------------------- literal cross-validation (tests only)

@@ -231,7 +231,7 @@ def _agree_with_required(g, req):
     split = global_search(g, req)
     assert split.decision == relative_search(g, req).decision, (g.names, g.adj, req)
     if split.is_yes:
-        assert set(req) <= split.lam.edge_set(), (g.names, g.adj, req)
+        assert set(req) <= set(split.lam.edges), (g.names, g.adj, req)
     return split.decision
 
 

@@ -4,14 +4,13 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from visualraag.graphs import bits, has_separating_clique, is_incomplete, is_triangle_free
+from visualraag.graphs import bit_list, bits, has_separating_clique, is_incomplete, is_triangle_free
 from visualraag.squares import (
     CfsStatus,
     cfs_status,
     diagonal_graph,
     induced_squares,
     is_strongly_cfs,
-    support,
 )
 from visualraag.dismantle import global_search
 from visualraag.generators import bicycle_wheel, fixtures, random_coning
@@ -48,11 +47,11 @@ def test_diagonal_graph_wheel_contains_hub_diagonals():
 
 
 def test_support():
-    assert support([(0, 1), (1, 4)]) == {0, 1, 4}
-    assert support([]) == set()
-    g = square()
-    dg = diagonal_graph(g)
-    assert support(dg.diagonals) == {0, 1, 2, 3}
+    dg = diagonal_graph(complete_bipartite(2, 3))
+    assert dg.support_mask([dg.index_of(2, 3), dg.index_of(3, 4)]) == bits([2, 3, 4])
+    assert dg.support_mask([]) == 0
+    dg = diagonal_graph(square())
+    assert dg.support_mask(range(len(dg.diagonals))) == bits([0, 1, 2, 3])
 
 
 def test_cfs_status_examples():
@@ -75,8 +74,7 @@ def test_cfs_witness_component_has_full_support():
     g, _lam = bicycle_wheel(4)
     rep = cfs_status(g)
     assert rep.status is CfsStatus.STRONGLY_CFS
-    pairs = [rep.diagonal.diagonals[i] for i in rep.witness_component]
-    assert support(pairs) == set(range(g.n))
+    assert rep.diagonal.support_mask(rep.witness_component) == g.full_mask
 
 
 @given(st.integers(4, 9))
@@ -137,11 +135,16 @@ def _inside(square, mask):
 
 
 def test_induced_squares_on_mask_is_the_whole_list_filtered():
+    """The squares of an induced subgraph, in host ids, are the host's
+    squares inside it, in the same order."""
     for g in sweep_graphs():
         whole = induced_squares(g)
         assert whole == sorted(whole)
         for mask in range(1 << g.n):
-            assert induced_squares(g, mask) == [sq for sq in whole if _inside(sq, mask)]
+            host = bit_list(mask)
+            sub = [tuple((host[a], host[b]) for a, b in sq)
+                   for sq in induced_squares(g.subgraph(mask))]
+            assert sub == [sq for sq in whole if _inside(sq, mask)]
 
 
 @given(st.integers(4, 10))
@@ -157,24 +160,25 @@ def test_diagonal_graph_sorted_with_one_edge_per_square(n):
 
 
 def _strongly(g, mask):
-    return cfs_status(g, mask).status is CfsStatus.STRONGLY_CFS
+    return cfs_status(g.subgraph(mask)).status is CfsStatus.STRONGLY_CFS
 
 
 def test_is_strongly_cfs_from_squares_matches_cfs_status_on_sweep_masks():
     seen = set()
     for g in sweep_graphs():
-        whole = induced_squares(g)
+        dg = diagonal_graph(g)
         for mask in range(1 << g.n):
             want = _strongly(g, mask)
-            assert is_strongly_cfs(g, mask, whole) == want
-            assert is_strongly_cfs(g, mask) == want
+            assert dg.strongly_cfs(mask) == want
+            assert is_strongly_cfs(g.subgraph(mask)) == want
             seen.add(want)
     assert seen == {True, False}
 
 
 def test_is_strongly_cfs_from_squares_matches_cfs_status_on_coning_strata():
     """Each stratum, and each stratum less one vertex, judged from the
-    squares of the stratum above it, as the dismantling search does."""
+    diagonal graph of the stratum above it, as the dismantling search does;
+    a prefix mask keeps the host's ids."""
     seen = set()
     for seed in range(6):
         seq = random_coning(seed=seed, steps=14)
@@ -182,10 +186,10 @@ def test_is_strongly_cfs_from_squares_matches_cfs_status_on_coning_strata():
         for k in range(len(seq.steps) + 1):
             above = (1 << min(g.n, 5 + k)) - 1
             stratum = (1 << (4 + k)) - 1
-            squares = induced_squares(g, above)
+            dg = diagonal_graph(g.subgraph(above))
             for mask in [stratum] + [stratum & ~(1 << v) for v in range(4 + k)]:
                 want = _strongly(g, mask)
-                assert is_strongly_cfs(g, mask, squares) == want
+                assert dg.strongly_cfs(mask) == want
                 seen.add(want)
     assert seen == {True, False}
 
