@@ -4,10 +4,11 @@ For a bipartite host the tree conditions are equivalent to picking one
 spanning tree of the complement inside each color class, so the oracle
 enumerates all tree pairs and checks the two join conditions directly, with
 the mask-level ``r3_violation`` and ``r4_violation`` that ``verify_fidl``
-also runs; a failing pair is never named.  Its value is simplicity; the only
-shortcut is the bipartiteness reduction.  The expected enumeration size is
-pre-computed with the matrix-tree theorem so explosive instances fail fast
-as budget refusals instead of hanging.
+also runs; a failing pair is never named.  Its value is simplicity.  Two
+shortcuts keep it literal: the bipartiteness reduction, and a per-tree
+square filter that skips only pairs R3 rejects (see ``_tested_pairs``).
+The expected enumeration size is pre-computed with the matrix-tree theorem
+so explosive instances fail fast as budget refusals instead of hanging.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterator
 
 from .dl import (
@@ -129,7 +131,7 @@ def _connected(live: list[tuple[tuple[int, int], int, int]], nverts: int) -> boo
 
 def _tested_pairs(
     g: Graph, limits: OracleLimits, timings: dict
-) -> Verdict | tuple[int, float, Iterator[tuple[tuple, tuple, bool]]]:
+) -> Verdict | tuple[int, float, Iterator[tuple[int, tuple, tuple, bool]]]:
     """The one loop of ``naive_search`` and ``count_all_fidl``.
 
     Runs the preconditions (stage ``preconditions`` of ``timings``) and the
@@ -141,13 +143,22 @@ def _tested_pairs(
     complement is complete on each, so each has a spanning tree.  Returns
     the verdict of the first gate that decides, or the number of tree pairs,
     the start of the ``oracle`` stage and a generator that checks the budget
-    once per tree and once per pair, and yields (red edges, blue edges,
-    passed) for each tree pair in order; passed means ``r3_violation`` and
-    then ``r4_violation`` find nothing, on squares and cycles listed once.
-    One generator, ``trees``, yields each class's spanning trees with their
-    hull oracles; the blue pool is built whole before the first pair, and
-    the red trees are walked one at a time.  A pair's hull joins the two
-    trees' hull oracles, whose memoized answers last across every pairing.
+    once per tree and once per judged pair, and yields (index, red edges,
+    blue edges, passed) for each judged pair; index is the pair's 1-based
+    place in the unfiltered red-major order, and passed means
+    ``r3_violation`` and then ``r4_violation`` find nothing.
+
+    The square filter is exact.  Take an induced square with diagonals
+    {a,b} in one class and {c,d} in the other.  A pair's hull of {a,b} is
+    the class tree's path a..b, and its hull of {c,d} holds c and d, so R3
+    puts that path inside lk c & lk d whatever the other tree is.  A tree
+    failing this for some square passes with no partner, so its pairs go
+    unjudged; every other pair is judged literally, so the passing pairs,
+    their order and the first one's index are the unfiltered loop's.  The
+    blue pool of edge tuples is built whole before the first pair; a blue
+    tree's hull oracle and verdict are built on first use and kept by pool
+    index, and a red tree is judged as it is walked, a rejected one
+    skipping its row.
     """
     t0 = time.perf_counter()
     fails = precondition_failures(g)
@@ -169,25 +180,35 @@ def _tested_pairs(
     squares = induced_squares(g)
     cycles = list(induced_cycles(g))
     budget = Budget.from_seconds(limits.seconds)
+    # R3 on a square puts the class tree's path a..b inside lk c & lk d
+    needs = {cls: [(1 << a | 1 << b, g.adj[c] & g.adj[d]) for p, q in squares
+                   for (a, b), (c, d) in ((p, q), (q, p)) if cls >> a & 1] for cls in (col.red, col.blue)}
 
-    def trees(cls: int) -> Iterator[tuple[tuple, Callable[[int], int]]]:
-        # the class is independent in the host: its complement is complete;
-        # a hull oracle reads only the forest, so the tree's colour is moot
+    def trees(cls: int) -> Iterator[tuple]:
+        # the class is independent in the host: its complement is complete
         verts = bit_list(cls)
         m = len(verts)
         for t in spanning_trees(m, list(itertools.combinations(range(m), 2))):
             budget.check()
-            edges = tuple((verts[a], verts[b]) for a, b in t)
-            yield edges, HullOracle(Lambda(g, edges, ())).hull
+            yield tuple((verts[a], verts[b]) for a, b in t)
 
-    def pairs() -> Iterator[tuple[tuple, tuple, bool]]:
+    def judged(cls: int, edges: tuple) -> Callable[[int], int] | None:
+        # a hull oracle reads only the forest, so the tree's colour is moot
+        hull = HullOracle(Lambda(g, edges, ())).hull
+        return None if any(hull(s) & ~ok for s, ok in needs[cls]) else hull
+
+    def pairs() -> Iterator[tuple[int, tuple, tuple, bool]]:
         blue_pool = list(trees(col.blue))
-        for red, red_hull in trees(col.red):
-            for blue, blue_hull in blue_pool:
-                budget.check()
-                hull = lambda m: m | red_hull(m & col.red) | blue_hull(m & col.blue)
-                yield red, blue, (r3_violation(g, squares, hull) is None
-                                  and r4_violation(g, cycles, hull) is None)
+        blue_judged = cache(lambda j: judged(col.blue, blue_pool[j]))
+        for i, red in enumerate(trees(col.red)):
+            red_hull = judged(col.red, red)
+            for j in range(len(blue_pool)) if red_hull else ():
+                blue_hull = blue_judged(j)
+                if blue_hull:
+                    budget.check()
+                    hull = lambda m: m | red_hull(m & col.red) | blue_hull(m & col.blue)
+                    yield i * len(blue_pool) + j + 1, red, blue_pool[j], (
+                        r3_violation(g, squares, hull) is None and r4_violation(g, cycles, hull) is None)
 
     return total, t0, pairs()
 
@@ -204,8 +225,7 @@ def naive_search(g: Graph, limits: OracleLimits = OracleLimits()) -> Verdict:
     total, t0, pairs = setup
     tested = 0
     try:
-        for red, blue, passed in pairs:
-            tested += 1
+        for tested, red, blue, passed in pairs:
             if passed:
                 lam = Lambda.make(g, red, blue)
                 report = verified(g, lam)
@@ -217,7 +237,7 @@ def naive_search(g: Graph, limits: OracleLimits = OracleLimits()) -> Verdict:
                        detail={"tested": tested, "tree_pairs": total}, timings_ms=timings)
     record_stage(timings, "oracle", t0)
     return Verdict("no", "oracle", reason="NoFidlLambda",
-                   detail={"tested": tested, "tree_pairs": total}, timings_ms=timings)
+                   detail={"tested": total, "tree_pairs": total}, timings_ms=timings)
 
 
 def count_all_fidl(g: Graph) -> tuple[int, list[Lambda]] | Verdict:
@@ -230,7 +250,7 @@ def count_all_fidl(g: Graph) -> tuple[int, list[Lambda]] | Verdict:
             return 0, []
         return setup
     _total, _t0, pairs = setup
-    found = [canonical_lambda(Lambda.make(g, red, blue)) for red, blue, passed in pairs if passed]
+    found = [canonical_lambda(Lambda.make(g, red, blue)) for _, red, blue, passed in pairs if passed]
     found.sort(key=lambda lam: (lam.red_edges, lam.blue_edges))
     return len(found), found
 

@@ -144,6 +144,61 @@ def test_oracle_pair_predicate_is_verify_fidl():
         assert count == len(passing)
 
 
+def test_oracle_order_and_tested_match_a_literal_unfiltered_loop(monkeypatch):
+    """Every tree pair of the two classes in the oracle's order (red trees
+    outer, blue inner), judged by ``verify_fidl`` with no filter: the
+    oracle reaches the same decision, the same ``tested`` (the first passing
+    pair's 1-based index, or every pair on "no") and the same witness, on
+    the sweep and on 40 criterion-5-style random graphs on 9-10 vertices."""
+    from visualraag import dl
+    from test_acceptance import _random_qualifying
+
+    # verify_fidl re-derives these per pair; they depend on the host alone
+    def per_host(fn):
+        memo = {}
+
+        def cached(g):
+            if id(g) not in memo:
+                memo[id(g)] = g, list(fn(g))
+            return memo[id(g)][1]
+        return cached
+
+    for name in ("precondition_failures", "induced_squares", "induced_cycles"):
+        monkeypatch.setattr(dl, name, per_host(getattr(dl, name)))
+
+    def literal(g):
+        col = bipartition(g)
+        sides = []
+        for cls in (col.red, col.blue):
+            verts = bit_list(cls)
+            m = len(verts)
+            sides.append([[(verts[a], verts[b]) for a, b in t]
+                          for t in spanning_trees(m, list(itertools.combinations(range(m), 2)))])
+        for k, (red, blue) in enumerate(itertools.product(*sides), 1):
+            lam = Lambda.make(g, red, blue)
+            if verify_fidl(g, lam).passed:
+                return "yes", k, lam.edges
+        return "no", len(sides[0]) * len(sides[1]), None
+
+    rng = random.Random(0x5EED)
+    randoms = []
+    while len(randoms) < 40:
+        g = _random_qualifying(rng, rng.randint(9, 10))
+        if g is not None:
+            randoms.append(g)
+    checked = Counter()
+    for g in [g for g in sweep_graphs() if g.n <= 8] + randoms:
+        try:
+            bipartition(g)
+        except NotBipartiteError:
+            continue
+        verdict = naive_search(g)
+        got = (verdict.decision, verdict.detail["tested"], verdict.lam.edges if verdict.is_yes else None)
+        assert got == literal(g), g.adj
+        checked[verdict.decision] += 1
+    assert checked["yes"] and checked["no"]
+
+
 def test_count_all_ordermatters_orbit():
     g = fixtures()["ordermatters"].graph
     count, lams = count_all_fidl(g)
@@ -220,6 +275,29 @@ def test_engine_and_oracle_agree_on_every_graph_up_to_9_vertices():
     assert decisions == {"no": 349, "yes": 80}
     assert stages == {("no", "cfs"), ("no", "cycles"), ("no", "dagger"),
                       ("yes", "assemble"), ("yes", "dismantle")}
+
+
+def test_engine_and_oracle_agree_on_every_graph_up_to_10_vertices():
+    """Every qualifying graph on at most 10 vertices (``enumerate_small.py
+    10``; its first 429 lines are the <=9 file): the dismantling engine and
+    the oracle reach one decision.  Unlike the <=9 sweep, this one also
+    reaches the "no" of the split and dismantle stages."""
+    from visualraag.dismantle import global_search
+
+    stream = (Path(__file__).parent / "data" / "connected_tf_nosep_le10.g6").read_text().split()
+    assert len(stream) == 3278
+    decisions, stages, disagreements = Counter(), set(), []
+    for line in stream:
+        g = from_graph6(line)
+        mine, oracle = global_search(g), naive_search(g)
+        if mine.decision != oracle.decision:
+            disagreements.append((line, mine.decision, oracle.decision))
+        decisions[oracle.decision] += 1
+        stages.add((mine.decision, mine.stage))
+    assert not disagreements
+    assert decisions == {"no": 2953, "yes": 325}
+    assert stages == {("no", "cfs"), ("no", "cycles"), ("no", "dagger"), ("no", "split"),
+                      ("no", "dismantle"), ("yes", "assemble"), ("yes", "dismantle")}
 
 
 # ----------------------------------------- literal cross-validation (tests only)
