@@ -10,15 +10,14 @@ replaying the removals as conings.
 One backtracking core, ``_dismantle``, with one failure memo, serves both
 ``enumerate_dismantlings`` (every sequence) and ``relative_search`` (the
 first sequence whose steps pass the step condition, checked as each step is
-made); it reads each state's strong CFS off the host's one diagonal graph,
-the CFS gate's in ``relative_search``, and carries the separating-clique
-test from each state to its children.
+made); it reads each state's strong CFS off one diagonal graph, and
+carries the separating-clique test from each state to its children.
 ``global_search``, the one entry point, runs the gates of
 ``_gate_verdict`` once and divides and conquers over the cuts, which after
 the gates never cross, carrying the required witness edges down the split;
-``relative_search``, its leaf solver, runs the same gates and that search
-on one whole graph.  ``check_dagger`` fixes the dominators of every witness,
-and every "yes" goes through ``dl.verified`` on the graph it answers for.
+its leaf solver, ``relative_search`` on a part, runs only the required-pair
+gate (README, L2) and that search.  ``check_dagger`` fixes the dominators of
+every witness, and every "yes" goes through ``dl.verified`` once.
 """
 
 from __future__ import annotations
@@ -482,28 +481,30 @@ def record_stage(timings: dict, key: str, t0: float) -> float:
 
 
 def _gate_verdict(
-    g: Graph, req: list[tuple[int, int]], timings: dict, t0: float
+    g: Graph, req: list[tuple[int, int]], timings: dict, t0: float, diagonal: DiagonalGraph | None
 ) -> Verdict | DiagonalGraph:
     """The gates of both searches in order, each timed from ``t0``:
     preconditions, strongly CFS, forbidden cycles, then, when pairs are
     required, required pairs class-consistent and acyclic.  Returns the
-    verdict of the first that fails, or the CFS gate's diagonal graph of
-    ``g`` when all pass."""
-    fails = precondition_failures(g)
-    t0 = record_stage(timings, "preconditions", t0)
-    if fails:
-        return Verdict.refusal(fails, timings)
-    cfs = cfs_status(g)
-    t0 = record_stage(timings, "cfs", t0)
-    if cfs.status is not CfsStatus.STRONGLY_CFS:
-        return Verdict("no", "cfs", reason="NotStronglyCFS",
-                       detail={"status": cfs.status.value, "diagnostic": cfs.diagnostic},
-                       timings_ms=timings)
-    obstruction = forbidden_cycle_check(g)
-    t0 = record_stage(timings, "cycles", t0)
-    if obstruction is not None:
-        return Verdict("no", "cycles", reason="ForbiddenCycle", detail=obstruction,
-                       timings_ms=timings)
+    verdict of the first that fails, else the CFS gate's diagonal graph, or
+    a split part's given ``diagonal``, for which only the last gate runs."""
+    if diagonal is None:
+        fails = precondition_failures(g)
+        t0 = record_stage(timings, "preconditions", t0)
+        if fails:
+            return Verdict.refusal(fails, timings)
+        cfs = cfs_status(g)
+        t0 = record_stage(timings, "cfs", t0)
+        if cfs.status is not CfsStatus.STRONGLY_CFS:
+            return Verdict("no", "cfs", reason="NotStronglyCFS",
+                           detail={"status": cfs.status.value, "diagnostic": cfs.diagnostic},
+                           timings_ms=timings)
+        obstruction = forbidden_cycle_check(g)
+        t0 = record_stage(timings, "cycles", t0)
+        if obstruction is not None:
+            return Verdict("no", "cycles", reason="ForbiddenCycle", detail=obstruction,
+                           timings_ms=timings)
+        diagonal = cfs.diagonal
     if req:
         bad = _required_pair_obstruction(g, req)
         record_stage(timings, "required_pairs", t0)
@@ -511,7 +512,7 @@ def _gate_verdict(
             reason, detail = bad
             return Verdict("no", "required_pairs", reason=reason, detail=detail,
                            timings_ms=timings)
-    return cfs.diagonal
+    return diagonal
 
 
 def relative_search(
@@ -519,29 +520,31 @@ def relative_search(
     required: Sequence[tuple[int, int]] = (),
     budget: Budget = Budget(),
     stats: DismantleStats | None = None,
+    diagonal: DiagonalGraph | None = None,
 ) -> Verdict:
     """Find a witness of the whole graph ``g`` containing every required
     pair, or decide none exists: the leaf solver of ``global_search``, and
     the whole-graph reference it is tested against.
 
     After the gates (``_gate_verdict``), the first dismantling sequence whose
-    steps pass the step condition, searched on the CFS gate's diagonal
-    graph, so a "yes" builds one.  ``check_dagger`` picks its dominators,
-    and the witness rebuilt from them goes through ``dl.verified`` on ``g``.
-    A failed search runs ``enumerate_dismantlings`` once more to tell
-    ``NoDismantling`` from ``NoDaggerSequence``.
+    steps pass the step condition, searched on the gates' diagonal graph.
+    ``check_dagger`` picks its dominators, and the witness rebuilt from them
+    goes through ``dl.verified`` on ``g``, unless ``g`` is a split part given
+    its ``diagonal`` (L2), whose caller verifies.  A failed search runs
+    ``enumerate_dismantlings`` once more to tell ``NoDismantling`` from
+    ``NoDaggerSequence``.
     """
     timings: dict = {}
     t0 = time.perf_counter()
     req = _normalize_required(g, required)
-    gated = _gate_verdict(g, req, timings, t0)
+    gated = _gate_verdict(g, req, timings, t0, diagonal)
     if isinstance(gated, Verdict):
         return gated
     t0 = time.perf_counter()
     if stats is None:
         stats = DismantleStats()
     try:
-        # the preconditions ruled out a separating clique of g
+        # the preconditions, or L2 for a part, ruled out a separating clique
         removed = next(_dismantle(g, gated, req, stats, budget, True), None)
         if removed is not None:
             seq = check_dagger(_sequence(g, removed), req)
@@ -550,7 +553,7 @@ def relative_search(
                     "internal consistency: step-checked search produced an infeasible sequence"
                 )
             lam = reconstruct_lambda(seq)
-            report = verified(g, lam)
+            report = verified(g, lam) if diagonal is None else None
             record_stage(timings, "dismantle", t0)
             return Verdict("yes", "dismantle", lam=lam, sequence=seq, report=report,
                            timings_ms=timings)
@@ -607,13 +610,12 @@ def global_search(
     required and cut pairs it contains and assembling the partial
     witnesses; common neighbors of a cut pair are cylinder vertices,
     covered at assembly.  Splitting, the paper's decomposition, gives the
-    assembled witness; whole-graph relative search is still faster on
-    coning graphs, but exponential on "no" graphs that split.  A "yes" goes
-    through ``dl.verified`` on ``g`` exactly once, here for an assembled
-    witness and in ``relative_search`` otherwise.  A deadline hit in any
-    leaf search comes back as that leaf's "budget_exceeded" verdict.  The
-    timings are this function's own stages; ``search`` includes the nested
-    searches.
+    assembled witness; whole-graph relative search is exponential on "no"
+    graphs that split.  Every "yes" goes through ``dl.verified`` on ``g``
+    exactly once, here.  The deadline is checked before and after the cuts
+    (stage ``jsj``) and in the leaf searches, whose verdict comes back as
+    is.  The timings are this function's own stages; ``search`` includes
+    the nested searches.
 
     No crossed-cut gate is needed.  Lemma (README, "Why the split needs no
     guards"): a triangle-free graph on five or more vertices with no
@@ -626,16 +628,19 @@ def global_search(
     timings: dict = {}
     t0 = time.perf_counter()
     req = _normalize_required(g, required)
-    gated = _gate_verdict(g, req, timings, t0)
+    gated = _gate_verdict(g, req, timings, t0, None)
     if isinstance(gated, Verdict):
         return gated
-    t0 = time.perf_counter()
-    pairs = list(dict.fromkeys(cut.pair for cut in jsj.find_cuts(g)))
-    t0 = record_stage(timings, "jsj", t0)
+    try:
+        budget.check()
+        t0 = time.perf_counter()
+        pairs = list(dict.fromkeys(cut.pair for cut in jsj.find_cuts(g)))
+        t0 = record_stage(timings, "jsj", t0)
+        budget.check()
+    except BudgetExceeded:
+        return Verdict("budget_exceeded", "jsj", reason="BudgetExceeded", timings_ms=timings)
     verdict = _solve_with_splitting(g, g.full_mask, pairs, budget, tuple(req))
-    report = verdict.report
-    if verdict.is_yes and report is None:
-        report = verified(g, verdict.lam)
+    report = verified(g, verdict.lam) if verdict.is_yes else None
     record_stage(timings, "search", t0)
     return replace(verdict, report=report, timings_ms=timings)
 
@@ -661,10 +666,10 @@ def _solve_with_splitting(
     neighbor of the cut pair, a cylinder vertex that ``jsj.assemble_lambdas``
     covers.  Lemma (README, L2): such a part of a graph that passes the
     preconditions and both gates passes them too, so no part is checked for
-    a separating clique, and by L1 no part's cuts cross; ``relative_search``
-    still runs the gates again on every part it solves, and L2 is why they
-    pass there.  An assembled "yes" carries no report: the caller verifies
-    the final witness once.
+    a separating clique, by L1 no part's cuts cross, and the leaf runs only
+    the required-pair gate, where a cycle of the part's pairs, its cut pairs
+    among them, is a real "no".  No "yes" here carries a report: the caller
+    verifies the final witness once.
     """
     for cut in jsj.cuts_through(g, mask, pairs):
         parts = [comp | cut.mask for comp in cut.components]
@@ -672,7 +677,9 @@ def _solve_with_splitting(
             break
     else:
         ids = {v: i for i, v in enumerate(iter_bits(mask))}
-        return relative_search(g.subgraph(mask), [(ids[p], ids[q]) for p, q in required], budget)
+        sub = g.subgraph(mask)
+        return relative_search(sub, [(ids[p], ids[q]) for p, q in required], budget,
+                               diagonal=diagonal_graph(sub))
     solved: list[tuple[str, Lambda]] = []
     for comp, part in zip(cut.components, parts):
         if comp.bit_count() == 1:

@@ -13,15 +13,17 @@ split decides what whole-graph ``relative_search`` decides.
 
 import itertools
 import random
+from collections import Counter
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from visualraag import jsj
-from visualraag.dismantle import Budget, forbidden_cycle_check, global_search, relative_search
+from visualraag import dismantle, dl, jsj
+from visualraag.dismantle import (
+    Budget, BudgetExceeded, forbidden_cycle_check, global_search, relative_search)
 from visualraag.dl import precondition_failures
 from visualraag.generators import fixtures, random_coning
-from visualraag.graphs import bipartition, bit_list, from_graph6
+from visualraag.graphs import bipartition, bit_list, from_graph6, to_graph6
 from visualraag.jsj import Cut, crossing_pair, cuts_through, find_cuts
 from visualraag.oracle import naive_search
 from visualraag.squares import CfsStatus, cfs_status, is_strongly_cfs
@@ -185,6 +187,83 @@ def test_one_cut_search_per_decision(monkeypatch):
         gated = g.n >= 5 and _passes_gates(g)
         assert len(calls) == (1 if gated else 0), (g.names, g.adj, len(calls))
     assert "assemble" in stages
+
+
+def test_one_gate_pass_and_one_verification_per_decision(monkeypatch):
+    # the split's parts inherit the gates (L2), and only the final witness
+    # is verified
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("precondition_failures", "cfs_status", "forbidden_cycle_check"):
+        count(dismantle, name)
+    count(dl, "verify_fidl")
+    graphs = [f.graph for f in fixtures().values()] + _glued_instances(20)
+    graphs += [random_coning(seed=s, steps=k).graph for s in (101, 102) for k in range(8, 33, 4)]
+    stages = set()
+    for g in graphs:
+        calls.clear()
+        verdict = global_search(g)
+        got = +calls
+        stages.add(verdict.stage)
+        qualifies = not precondition_failures(g)
+        strongly = qualifies and is_strongly_cfs(g)
+        # Counter equality treats a missing name as zero calls
+        assert got == Counter(precondition_failures=1, cfs_status=qualifies,
+                              forbidden_cycle_check=strongly,
+                              verify_fidl=verdict.is_yes), (g.names, g.adj, got)
+    assert {"assemble", "dismantle", "cfs"} <= stages
+
+
+def _leaf_reason(verdict):
+    """The reason of the leaf behind a split "no", else the verdict's own."""
+    reason, detail = verdict.reason, verdict.detail
+    while reason == "RigidPartFailed":
+        reason, detail = detail["sub_reason"], detail["sub_detail"]
+    return reason
+
+
+def test_split_leaves_check_their_required_pairs():
+    # a part's cut pairs join the pairs it is given: with one required pair,
+    # a cycle of them shows only inside a part, and is a real "no"
+    cycles = []
+    for g in sweep_graphs():
+        for pair in itertools.combinations(range(g.n), 2):
+            if not g.has_edge(*pair):
+                verdict = global_search(g, [pair])
+                if verdict.stage == "split" and _leaf_reason(verdict) == "RequiredPairCycle":
+                    cycles.append((to_graph6(g), pair))
+    assert cycles == [("Fs`rO", (5, 6)), ("GsaBbW", (6, 7)), ("GsaBrg", (6, 7)),
+                      ("Gs`abo", (2, 3)), ("Gs`bao", (6, 7))]
+
+
+def test_budget_is_checked_before_and_after_the_cuts(monkeypatch):
+    calls = []
+    monkeypatch.setattr(jsj, "find_cuts", lambda g: calls.append(g) or find_cuts(g))
+    g = fixtures()["glued_wheels"].graph
+    assert _passes_gates(g) and global_search(g).stage == "assemble"
+    calls.clear()
+    verdict = global_search(g, budget=Budget.from_seconds(0))
+    assert (verdict.decision, verdict.stage, verdict.reason) == (
+        "budget_exceeded", "jsj", "BudgetExceeded")
+    assert calls == []
+
+    class AfterCuts(Budget):
+        def check(self):
+            if calls:
+                raise BudgetExceeded
+
+    verdict = global_search(g, budget=AfterCuts())
+    assert (verdict.decision, verdict.stage) == ("budget_exceeded", "jsj")
+    assert len(calls) == 1 and "jsj" in verdict.timings_ms
 
 
 def test_search_never_asks_whether_cuts_cross(monkeypatch):
